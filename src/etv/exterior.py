@@ -297,11 +297,6 @@ def restrict(form: Alt, basis) -> tuple[Alt, bool]:
     return Alt(m, terms), all_real
 
 
-def restriction_is_zero(form: Alt, basis) -> bool:
-    restricted, _ = restrict(form, basis)
-    return restricted.is_zero()
-
-
 def evaluate_rform(form: Alt, vectors):
     """Value of a real m-form on m real vectors (no complexification)."""
     if form.degree != len(vectors):

@@ -189,23 +189,11 @@ def plfunction_from_json(obj) -> PLFunction:
     return PLFunction(n=n, plus=plus, minus=minus)
 
 
-def poly_to_json(p: Poly):
-    return [{"exps": list(e), "coeff": rat_str(c)}
-            for e, c in sorted(p.terms.items())]
-
-
 def poly_from_json(obj, nvars: int) -> Poly:
     terms = {}
     for t in obj:
         terms[tuple(t["exps"])] = _rat(t["coeff"])
     return Poly(nvars, terms)
-
-
-def testform_to_json(tf: TestForm):
-    return {"degree": tf.degree,
-            "window": [[rat_str(lo), rat_str(hi)] for lo, hi in tf.window],
-            "terms": [{"indices": list(k), "poly": poly_to_json(p)}
-                      for k, p in tf.terms]}
 
 
 def testform_from_json(obj) -> TestForm:
@@ -228,8 +216,3 @@ def family_from_json(obj):
     except (KeyError, TypeError) as exc:
         raise ParseError("vector family needs n and sets") from exc
     return VectorFamily(n=n, sets=sets)
-
-
-def family_to_json(fam):
-    return {"n": fam.n,
-            "sets": [[cvector_to_json(v) for v in s] for s in fam.sets]}

@@ -162,15 +162,3 @@ def solve_lp(objective, a_ub=None, b_ub=None, a_eq=None, b_eq=None,
     point = tuple(x[j] - x[nfree + j] for j in range(nfree))
     value = sum(c * p for c, p in zip(objective, point)) if nfree else _ZERO
     return LPResult(OPTIMAL, value, point)
-
-
-def feasible_point(a_ub=None, b_ub=None, a_eq=None, b_eq=None, dim=None):
-    """A feasible point of the system, or None."""
-    if dim is None:
-        for a in (a_ub or []) + (a_eq or []):
-            dim = len(a)
-            break
-        else:
-            return ()
-    res = solve_lp([_ZERO] * dim, a_ub, b_ub, a_eq, b_eq)
-    return res.x if res.status == OPTIMAL else None

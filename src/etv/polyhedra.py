@@ -12,6 +12,22 @@ vectors.  Two canonical HPolys describe the same set iff their keys match.
 The canonical tangent basis is the rref basis of the direction space, so
 all cells sharing an affine hull direction also share their reference
 orientation, which keeps frame bookkeeping transport-free.
+
+`HPoly.canonical` remembers the canonical forms of its last
+`_CANONICAL_MEMO_CAP` non-canonical inputs (first in, first out), keyed by
+`(ambient, frozenset(eq), frozenset(ineq))`.  The key forgets row order and
+duplicate rows, which is sound because the canonical form depends on
+neither: the implicit equalities found are always all of them, the rref of
+the hull is unique, and once the inequalities are primitive and reduced
+modulo that rref, each facet has exactly one row, so the irredundant rows
+are the same whatever order they are tested in.  Callers of equal inputs
+share one canonical HPoly; its lazy caches depend on its rows alone.  The
+cap is small because the memo pays off on inputs that recur within a
+computation; a larger one holds more memory for little further saving.
+
+After the reduction modulo the hull every surviving inequality is nonzero
+on a free coordinate of the hull, so no inequality is implied by the hull
+alone and only the redundancy test against the other inequalities is run.
 """
 
 from __future__ import annotations
@@ -26,6 +42,9 @@ from .lp import OPTIMAL, UNBOUNDED, solve_lp
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+_CANONICAL_MEMO_CAP = 256
+_CANONICAL_MEMO: dict = {}  # input key -> canonical HPoly, oldest first
 
 
 def _prim_eq(coeffs, rhs):
@@ -96,9 +115,14 @@ class HPoly:
     def translate(self, vec) -> "HPoly":
         if self.is_empty():
             return self
-        eq = tuple((a, b + sum(x * y for x, y in zip(a, vec))) for a, b in self.eq)
-        ineq = tuple((a, b + sum(x * y for x, y in zip(a, vec))) for a, b in self.ineq)
+        eq = [(a, b + sum(x * y for x, y in zip(a, vec))) for a, b in self.eq]
+        ineq = [(a, b + sum(x * y for x, y in zip(a, vec))) for a, b in self.ineq]
+        if self._canonical:
+            # the shifted right-hand sides change the rows' primitive scaling
+            eq = [_prim_eq(a, b) for a, b in eq]
+            ineq = sorted(_prim_ineq(a, b) for a, b in ineq)
         out = HPoly(self.ambient, eq, ineq, _canonical=self._canonical)
+        out._empty = False
         if self._tangent is not None:
             out._tangent = self._tangent
         return out
@@ -128,6 +152,17 @@ class HPoly:
     def canonical(self) -> "HPoly":
         if self._canonical:
             return self
+        key = (self.ambient, frozenset(self.eq), frozenset(self.ineq))
+        out = _CANONICAL_MEMO.get(key)
+        if out is None:
+            out = self._canonical_form()
+            if len(_CANONICAL_MEMO) >= _CANONICAL_MEMO_CAP:
+                del _CANONICAL_MEMO[next(iter(_CANONICAL_MEMO))]
+            _CANONICAL_MEMO[key] = out
+        self._empty = out._empty
+        return out
+
+    def _canonical_form(self) -> "HPoly":
         if self.is_empty():
             return HPoly.empty(self.ambient)
         eqs = [(a, b) for a, b in self.eq]
@@ -182,15 +217,8 @@ class HPoly:
                 coeffs, rhs = _prim_eq(row[:-1], row[-1])
                 eqs.append((coeffs, rhs))
 
-        # drop inequalities implied by the affine hull or by the others
+        # drop inequalities implied by the others
         poly_eqs = tuple(eqs)
-        pruned = []
-        for a, b in ineqs:
-            res = HPoly(self.ambient, poly_eqs, ()).maximize(a)
-            if res.status == OPTIMAL and res.value <= b:
-                continue  # affine hull already enforces it
-            pruned.append((a, b))
-        ineqs = pruned
         irredundant = list(ineqs)
         i = 0
         while i < len(irredundant):
@@ -797,22 +825,28 @@ def split_by_hyperplanes(cell: HPoly, hyperplanes):
     Only hyperplanes strictly straddled by the cell produce cuts, which is
     exactly the set of arrangement walls meeting the cell's interior.
     """
-    pieces = [cell.canonical()]
+    def walls(piece):
+        return {hyperplane_key(a, b) for a, b in piece.eq + piece.ineq}
+
+    start = cell.canonical()
+    pieces = [(start, walls(start))]
     for a, b in hyperplanes:
+        wall = hyperplane_key(a, b)
         nxt = []
-        for piece in pieces:
-            lo = piece.minimize(a)
-            hi = piece.maximize(a)
-            lo_cross = lo.status == UNBOUNDED or (lo.status == OPTIMAL and lo.value < b)
-            hi_cross = hi.status == UNBOUNDED or (hi.status == OPTIMAL and hi.value > b)
-            if lo_cross and hi_cross:
-                below = piece.with_constraint(a, b).canonical()
-                above = piece.with_constraint(tuple(-x for x in a), -b).canonical()
-                nxt.extend(p for p in (below, above) if not p.is_empty())
-            else:
-                nxt.append(piece)
+        for piece, own in pieces:
+            if wall not in own:  # a piece never straddles its own walls
+                lo = piece.minimize(a)
+                hi = piece.maximize(a)
+                lo_cross = lo.status == UNBOUNDED or (lo.status == OPTIMAL and lo.value < b)
+                hi_cross = hi.status == UNBOUNDED or (hi.status == OPTIMAL and hi.value > b)
+                if lo_cross and hi_cross:
+                    below = piece.with_constraint(a, b).canonical()
+                    above = piece.with_constraint(tuple(-x for x in a), -b).canonical()
+                    nxt.extend((p, walls(p)) for p in (below, above) if not p.is_empty())
+                    continue
+            nxt.append((piece, own))
         pieces = nxt
-    return pieces
+    return [piece for piece, _ in pieces]
 
 
 def common_refinement(x: PolyhedralSet, y: PolyhedralSet) -> tuple:
@@ -837,13 +871,6 @@ def common_refinement(x: PolyhedralSet, y: PolyhedralSet) -> tuple:
     refined = PolyhedralSet(k=k, ambient=x.ambient,
                             cells=sorted(union.values(), key=lambda c: repr(c.key)))
     return px, py, refined
-
-
-def refine_complex(x: PolyhedralSet, extra_hyperplanes=()) -> dict:
-    """Self-refinement pieces of every cell over the complex's hyperplanes."""
-    hyps = hyperplanes_of_cells(list(x.cells))
-    hyps.extend(h for h in extra_hyperplanes if h not in hyps)
-    return {ci: split_by_hyperplanes(cell, hyps) for ci, cell in enumerate(x.cells)}
 
 
 def localization(x: PolyhedralSet, theta: HPoly) -> PolyhedralSet:

@@ -2,11 +2,14 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import etv.polyhedra as polyhedra
 from etv.exterior import Alt
 from etv.polyhedra import (HPoly, PolyhedralSet, VPolytope, common_refinement,
-                           dual_cone, split_by_hyperplanes, triangulate_cell,
-                           volume_multivector)
+                           dual_cone, hyperplanes_of_cells, split_by_hyperplanes,
+                           triangulate_cell, volume_multivector)
 
 
 def pt(*xs):
@@ -15,6 +18,24 @@ def pt(*xs):
 
 def square2d():
     return VPolytope.from_points([pt(0, 0), pt(1, 0), pt(0, 1), pt(1, 1)])
+
+
+UNIT_SQUARE = [((F(1), F(0)), F(1)), ((F(-1), F(0)), F(0)),
+               ((F(0), F(1)), F(1)), ((F(0), F(-1)), F(0))]
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Counts the LPs that `etv.polyhedra` solves."""
+    calls = [0]
+    solve = polyhedra.solve_lp
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(polyhedra, "solve_lp", counting)
+    return calls
 
 
 class TestHPoly:
@@ -41,6 +62,20 @@ class TestHPoly:
     def test_vertices_of_unit_square(self):
         p = square2d().to_hpoly()
         assert sorted(p.vertices()) == [pt(0, 0), pt(0, 1), pt(1, 0), pt(1, 1)]
+
+    def test_translate_keeps_key_of_fresh_canonical(self):
+        p = HPoly(2, ineq=UNIT_SQUARE).canonical()
+        shifted = p.translate(pt(F(1, 2), 0))
+        fresh = HPoly(2, ineq=[(a, b + a[0] / 2) for a, b in UNIT_SQUARE]).canonical()
+        assert shifted.key == fresh.key
+        assert ((F(-2), F(0)), F(-1)) in shifted.ineq
+
+    def test_translate_renormalizes_equalities(self):
+        line = HPoly(2, eq=[((F(1), F(1)), F(0))], ineq=[((F(-1), F(0)), F(0))]).canonical()
+        shifted = line.translate(pt(F(1, 3), 0))
+        fresh = HPoly(2, eq=[((F(1), F(1)), F(1, 3))],
+                      ineq=[((F(-1), F(0)), F(-1, 3))]).canonical()
+        assert shifted.key == fresh.key
 
     def test_smallest_face(self):
         p = square2d().to_hpoly()
@@ -271,3 +306,110 @@ class TestLPAgainstEnumeration:
                 continue
             best = max(sum(c * x for c, x in zip(obj, v)) for v in poly.vertices())
             assert res.status == "optimal" and res.value == best
+
+
+class TestCanonicalMemo:
+    def test_unit_square_lp_count(self, lp_calls):
+        polyhedra._CANONICAL_MEMO.clear()
+        # one emptiness LP, one implicit-equality LP and one redundancy LP per row
+        square = HPoly(2, ineq=UNIT_SQUARE).canonical()
+        assert lp_calls[0] == 9
+        again = HPoly(2, ineq=UNIT_SQUARE[::-1] + UNIT_SQUARE[:1]).canonical()
+        assert lp_calls[0] == 9 and again.key == square.key
+
+    def test_memo_is_capped_first_in_first_out(self):
+        polyhedra._CANONICAL_MEMO.clear()
+        cap = polyhedra._CANONICAL_MEMO_CAP
+        halfspaces = [HPoly(1, ineq=[((F(1),), F(k))]) for k in range(cap + 20)]
+        for h in halfspaces:
+            h.canonical()
+            assert len(polyhedra._CANONICAL_MEMO) <= cap
+        keys = [(1, frozenset(), frozenset(h.ineq)) for h in halfspaces]
+        assert keys[0] not in polyhedra._CANONICAL_MEMO
+        assert keys[-1] in polyhedra._CANONICAL_MEMO
+
+    def test_empty_input_is_remembered(self, lp_calls):
+        polyhedra._CANONICAL_MEMO.clear()
+        rows = [((F(1),), F(0)), ((F(-1),), F(-1))]
+        assert HPoly(1, ineq=rows).canonical().is_empty()
+        calls = lp_calls[0]
+        assert HPoly(1, ineq=rows[::-1]).canonical().is_empty()
+        assert lp_calls[0] == calls
+
+
+small = st.integers(-2, 2)
+row3 = st.tuples(st.tuples(small, small, small), small)
+
+
+@settings(max_examples=40, deadline=None)
+@given(eq=st.lists(row3, max_size=2), ineq=st.lists(row3, min_size=1, max_size=5),
+       data=st.data())
+def test_canonical_key_ignores_order_duplicates_and_positive_scaling(eq, ineq, data):
+    def frac(rows):
+        return [(tuple(F(x) for x in a), F(b)) for a, b in rows]
+
+    def variant(rows):
+        if not rows:
+            return rows
+        extra = data.draw(st.lists(st.sampled_from(rows), max_size=2))
+        rows = data.draw(st.permutations(rows + extra))
+        scales = data.draw(st.lists(st.fractions(min_value=F(1, 3), max_value=3),
+                                    min_size=len(rows), max_size=len(rows)))
+        return [(tuple(t * x for x in a), t * b) for t, (a, b) in zip(scales, rows)]
+
+    eq, ineq = frac(eq), frac(ineq)
+    polyhedra._CANONICAL_MEMO.clear()
+    key = HPoly(3, eq, ineq).canonical().key
+    eq2, ineq2 = variant(eq), variant(ineq)
+    assert HPoly(3, eq2, ineq2).canonical().key == key  # warm memo
+    polyhedra._CANONICAL_MEMO.clear()
+    assert HPoly(3, eq2, ineq2).canonical().key == key  # cold memo
+
+
+def _split_by_straddle_lps(cell, hyperplanes):
+    """Reference split that decides every cut by a min/max LP pair."""
+    pieces = [cell.canonical()]
+    for a, b in hyperplanes:
+        nxt = []
+        for piece in pieces:
+            lo, hi = piece.minimize(a), piece.maximize(a)
+            if (lo.status == "unbounded" or lo.value < b) and \
+                    (hi.status == "unbounded" or hi.value > b):
+                nxt.extend(p for p in (piece.with_constraint(a, b).canonical(),
+                                       piece.with_constraint(tuple(-x for x in a), -b)
+                                       .canonical()) if not p.is_empty())
+            else:
+                nxt.append(piece)
+        pieces = nxt
+    return pieces
+
+
+class TestSplitOwnWalls:
+    def test_own_walls_cost_no_lp(self, lp_calls):
+        sq = square2d().to_hpoly()
+        walls = hyperplanes_of_cells([sq])
+        walls += [(tuple(-x for x in a), -b) for a, b in walls]
+        lp_calls[0] = 0
+        assert split_by_hyperplanes(sq, walls) == [sq]
+        assert lp_calls[0] == 0
+
+    @pytest.mark.parametrize("cell", [
+        square2d().to_hpoly(),
+        VPolytope.from_points([pt(0, 0, 0), pt(2, 0, 0), pt(0, 2, 0)]).to_hpoly(),
+        dual_cone(square2d(), VPolytope.from_points([pt(1, 1)])),
+    ])
+    def test_pieces_match_straddle_lps(self, cell):
+        gamma = VPolytope.from_points([pt(0, 0), pt(1, 0), pt(0, 1)])
+        hyps = [((F(1), F(-1)), F(0)), ((F(1), F(1)), F(1)), ((F(0), F(1)), F(1, 2))]
+        hyps += hyperplanes_of_cells([dual_cone(gamma, f) for f in gamma.faces(1)])
+        if cell.ambient == 3:
+            hyps = [(a + (F(1),), b) for a, b in hyps]
+        hyps += hyperplanes_of_cells([cell])
+        pieces = split_by_hyperplanes(cell, hyps)
+        # every piece keeps its own walls uncut, and the cuts are the reference's
+        for piece in pieces:
+            for a, b in piece.eq + piece.ineq:
+                assert split_by_hyperplanes(piece, [(a, b)]) == [piece]
+        assert sorted(repr(p.key) for p in pieces) == \
+            sorted(repr(p.key) for p in _split_by_straddle_lps(cell, hyps))
+        assert len(pieces) > 1
