@@ -377,11 +377,16 @@ def add(p, q) -> EtvRep:
     return canonicalize(FramedSet(x.n, x.k, cells), validate=False)
 
 
+# Translating every cell, or scaling every frame by the same t != 0, keeps a
+# merged complex merged, so canonical input needs no second merge pass.
+
 def scale(t, p) -> EtvRep:
     x = _framed(p)
     t = Fraction(t) if not isinstance(t, (Fraction, CRat)) else t
     if t == 0:
         return zero_etv(x.n, x.k)
+    if isinstance(p, EtvRep):
+        return EtvRep(x.scaled(t), _checked=True)
     return canonicalize(x.scaled(t), validate=False)
 
 
@@ -391,6 +396,8 @@ def negate(p) -> EtvRep:
 
 def translate(p, vec) -> EtvRep:
     x = _framed(p)
+    if isinstance(p, EtvRep):
+        return EtvRep(x.translated(vec), _checked=True)
     return canonicalize(x.translated(vec), validate=False)
 
 

@@ -1,17 +1,18 @@
 """Transversal and stable intersections, products, and recession fans.
 
-The stable intersection of positive cycles follows the displacement
-recipe: a candidate cell survives iff the localization fans keep meeting
-under every certified generic shift in a finite direction battery (for
-cone fans, meeting near the origin is scale-invariant in the shift, so
-each direction is decided by one exact emptiness check).  Frames come
-from a single certified transversal shift: the frames of all top cells of
-the shifted transversal intersection are summed on the common subspace.
+The stable intersection of positive cycles follows the fan displacement
+rule (Fulton-Sturmfels 1997; Jensen-Yu 2016): localized at a candidate
+cell, the fans K and L are cones, and for any shift v with K and L + v
+transversal the frames of all top cells of K meet (L + v) sum to the
+stable multiplicity, whichever such v is taken.  The candidate is stable
+exactly when that sum is nonzero.  Shifts are taken on the moment curve
+(t, t^2, ..., t^{2n}): a touching face pair that is not transversal only
+blocks shifts in a proper affine subspace, which the curve meets in at
+most 2n points, so all but finitely many t are certified transversal.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,7 +23,6 @@ from .linalg import intersect_rowspaces, rank
 from .polyhedra import HPoly, hyperplanes_of_cells, split_by_hyperplanes
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +121,6 @@ def transversal_intersection(x, y) -> FramedSet:
 class ShiftCertificate:
     shift: tuple
     tries: int
-    pair_count: int
     transversal: bool
 
 
@@ -129,28 +128,21 @@ class ShiftBudgetExhausted(RuntimeError):
     pass
 
 
-def _random_direction(rng: random.Random, ambient: int):
-    while True:
-        v = tuple(Fraction(rng.randint(-5, 5)) for _ in range(ambient))
-        if any(x != 0 for x in v):
-            return v
-
-
 def generic_shift(x, y, seed: int = 0, budget: int = 40) -> ShiftCertificate:
-    """First certified transversal shift from a deterministic sequence."""
+    """First certified transversal shift: zero, then moment-curve points.
+
+    The points are (t, t^2, ..., t^{2n}) for t = seed+1, ..., seed+budget.
+    """
     xf = x.framed if isinstance(x, EtvRep) else x
     yf = y.framed if isinstance(y, EtvRep) else y
     ambient = xf.ambient
-    rng = random.Random(seed)
-    pair_count = len(xf.support_cells()) * len(yf.support_cells())
-    zero = tuple([_ZERO] * ambient)
     if transversal(xf, yf):
-        return ShiftCertificate(zero, 0, pair_count, True)
-    for t in range(1, budget + 1):
-        eps = Fraction(1, 2 ** t)
-        z = tuple(eps * c for c in _random_direction(rng, ambient))
+        return ShiftCertificate(tuple([_ZERO] * ambient), 0, True)
+    for tries in range(1, budget + 1):
+        t = Fraction(seed + tries)
+        z = tuple(t ** i for i in range(1, ambient + 1))
         if transversal(xf, yf.translated(z)):
-            return ShiftCertificate(z, t, pair_count, True)
+            return ShiftCertificate(z, tries, True)
     raise ShiftBudgetExhausted(f"no transversal shift found in {budget} candidates")
 
 
@@ -171,44 +163,6 @@ def _localize(framed: FramedSet, p) -> FramedSet:
         if c.poly.contains_point(p):
             cells.append(FramedCell(c.poly.localized_cone(p), c.frame))
     return FramedSet(framed.n, framed.k, cells)
-
-
-def _support_meets(xf: FramedSet, yf: FramedSet, z) -> bool:
-    for a in xf.support_cells():
-        for b in yf.support_cells():
-            if not a.poly.intersect(b.poly.translate(z)).is_empty():
-                return True
-    return False
-
-
-def _shift_battery(ambient: int, seed: int):
-    dirs = []
-    for i in range(ambient):
-        e = [_ZERO] * ambient
-        e[i] = _ONE
-        dirs.append(tuple(e))
-        e = [_ZERO] * ambient
-        e[i] = -_ONE
-        dirs.append(tuple(e))
-    rng = random.Random(seed ^ 0x5EED)
-    for _ in range(4):
-        dirs.append(_random_direction(rng, ambient))
-    return dirs
-
-
-def _certified_variant(k_fan: FramedSet, l_fan: FramedSet, base, seed: int,
-                       budget: int = 25):
-    """A transversal shift close to the direction `base`, or None."""
-    if transversal(k_fan, l_fan.translated(base)):
-        return base
-    rng = random.Random(seed ^ 0xD1FF)
-    for t in range(1, budget + 1):
-        eps = Fraction(1, 2 ** t)
-        cand = tuple(b + eps * c for b, c in
-                     zip(base, _random_direction(rng, len(base))))
-        if transversal(k_fan, l_fan.translated(cand)):
-            return cand
-    return None
 
 
 def stable_support(x, y, seed: int = 0) -> list:
@@ -247,26 +201,13 @@ def stable_support(x, y, seed: int = 0) -> list:
         vmin = intersect_rowspaces(kmin or [], lmin or [], 2 * n)
         if len(vmin) != k_out:
             continue
-        stable = True
-        witness_shift = None
-        for i, direction in enumerate(_shift_battery(2 * n, seed)):
-            z = _certified_variant(k_fan, l_fan, direction, seed + i)
-            if z is None:
-                stable = False
-                break
-            if not _support_meets(k_fan, l_fan, z):
-                stable = False
-                break
-            if witness_shift is None:
-                witness_shift = z
-        if not stable:
-            continue
-        inter_fan = transversal_intersection(k_fan, l_fan.translated(witness_shift))
+        shift = generic_shift(k_fan, l_fan, seed).shift
         total = Alt(2 * n - k_out)
-        for c in inter_fan.cells:
+        for c in transversal_intersection(k_fan, l_fan.translated(shift)).cells:
             total = total + c.frame
-        out.append(StableSupportCell(cell=cand, frame=total,
-                                     shift=witness_shift, parents=parents))
+        if not total.is_zero():
+            out.append(StableSupportCell(cell=cand, frame=total,
+                                         shift=shift, parents=parents))
     out.sort(key=lambda s: repr(s.cell.key))
     return out
 

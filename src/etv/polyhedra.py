@@ -829,6 +829,8 @@ def split_by_hyperplanes(cell: HPoly, hyperplanes):
         return {hyperplane_key(a, b) for a, b in piece.eq + piece.ineq}
 
     start = cell.canonical()
+    if start.is_empty():
+        return []
     pieces = [(start, walls(start))]
     for a, b in hyperplanes:
         wall = hyperplane_key(a, b)

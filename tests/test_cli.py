@@ -238,6 +238,21 @@ class TestProductDeterminism:
         assert (tmp_path / "p1.json").read_bytes() == (tmp_path / "p2.json").read_bytes()
 
 
+    def test_product_does_not_depend_on_seed(self, capsys, tmp_path):
+        fans = []
+        for name, verts in (("tri", [[0, 0], [1, 0], [0, 1]]),
+                            ("sq", [[0, 0], [1, 0], [0, 1], [1, 1]])):
+            gamma = write(tmp_path, f"{name}-gamma.json", {"vertices": [
+                [str(x), "0", str(y), "0"] for x, y in verts]})
+            code, out = run(capsys, "dual-fan", "--polytope", gamma, "--k", "3")
+            fans.append(write(tmp_path, f"{name}.json", out["result"]))
+        code0, out0 = run(capsys, "product", *fans, "--seed", "0")
+        code9, out9 = run(capsys, "product", *fans, "--seed", "9")
+        assert code0 == code9 == 0
+        assert out0["result"]["cells"]
+        assert out0["result"] == out9["result"]
+
+
 class TestPolyhedralSetJson:
     def test_roundtrip(self):
         from etv.jsonio import polyhedralset_from_json, polyhedralset_to_json

@@ -2,13 +2,15 @@ from fractions import Fraction as F
 
 import pytest
 
+import etv.framed as framed
+from etv.dualfan import dual_fan_etp
 from etv.exterior import Alt
 from etv.framed import (EtvRep, FramedCell, FramedSet, TestForm, add, boundary,
                         canonicalize, cell_sign, constant_test_form, equivalent,
                         evaluate_current, exterior_derivative, irreducible_components,
                         is_closed, is_etp, is_positive, negate, scale,
                         split_positive, translate, unit_positive_frame, zero_etv)
-from etv.polyhedra import HPoly
+from etv.polyhedra import HPoly, VPolytope
 from etv.polynomials import Poly
 from etv.scalars import CRat
 
@@ -149,6 +151,33 @@ class TestGroup:
         p = imag_axis_etv()
         q = translate(p, (F(1), F(0)))
         assert not equivalent(p, q)
+
+
+class TestCanonicalInputNotRemerged:
+    def test_translate_scale_negate_skip_merging(self, monkeypatch):
+        square = VPolytope.from_points([(F(0), F(0)), (F(1), F(0)),
+                                        (F(0), F(1)), (F(1), F(1))])
+        fan = dual_fan_etp(square, 1).result
+        assert len(fan.cells()) == 4
+        vec = (F(1, 2), F(-3))
+        t = CRat(2, -1)
+        old = [canonicalize(fan.framed.translated(vec), validate=False),
+               canonicalize(fan.framed.scaled(t), validate=False),
+               canonicalize(fan.framed.scaled(F(-1)), validate=False)]
+        calls = []
+        mergeable = framed._mergeable
+
+        def counting(*args):
+            calls.append(args)
+            return mergeable(*args)
+
+        monkeypatch.setattr(framed, "_mergeable", counting)
+        new = [translate(fan, vec), scale(t, fan), negate(fan)]
+        assert calls == []
+        assert all(isinstance(r, EtvRep) for r in new)
+        monkeypatch.undo()
+        for a, b in zip(old, new):
+            assert equivalent(a, b)
 
 
 class TestPositivity:

@@ -11,6 +11,7 @@ from etv.intersection import (ShiftBudgetExhausted, bergman_fan, generic_shift,
                               product, product_many, stable_intersection,
                               stable_support, transversal,
                               transversal_intersection)
+from etv.monge import mixed_volume_oracle
 from etv.polyhedra import HPoly, VPolytope
 from etv.scalars import CRat
 
@@ -101,6 +102,13 @@ class TestGenericShift:
         b = generic_shift(hyperplane_x1(), hyperplane_x1(), seed=3)
         assert a.shift == b.shift
 
+    def test_shift_on_moment_curve(self):
+        for s in (0, 5, 1009):
+            cert = generic_shift(hyperplane_x1(), hyperplane_x1(), seed=s)
+            t = cert.shift[0]
+            assert t == s + cert.tries
+            assert cert.shift == tuple(t ** i for i in range(1, 5))
+
     def test_budget_exhaustion(self):
         with pytest.raises(ShiftBudgetExhausted):
             generic_shift(hyperplane_x1(), hyperplane_x1(), seed=0, budget=0)
@@ -121,6 +129,39 @@ class TestStableSupport:
         assert len(cells) >= 1
         for s in cells:
             assert s.cell.dim == 2
+
+
+PLANE_BODIES = {
+    "seg_e1": [(0, 0), (1, 0)],
+    "seg_e2": [(0, 0), (0, 1)],
+    "seg_diag": [(0, 0), (1, 1)],
+    "triangle": [(0, 0), (1, 0), (0, 1)],
+    "square": [(0, 0), (1, 0), (0, 1), (1, 1)],
+}
+
+
+def plane_fan(name):
+    """Dual fan of a body in the real plane spanned by e1*, e2* in the dual of C^2."""
+    return dual_fan_etp(VPolytope.from_points(
+        [pt(x, 0, y, 0) for x, y in PLANE_BODIES[name]]), 3).result
+
+
+class TestStableSupportShiftRule:
+    PAIRS = [("seg_e1", "seg_e2"), ("seg_e1", "seg_diag"), ("triangle", "triangle"),
+             ("triangle", "seg_e1"), ("triangle", "square"), ("square", "square"),
+             ("square", "seg_diag")]
+
+    @pytest.mark.parametrize("left,right", PAIRS)
+    def test_seed_independent_and_mixed_volume(self, left, right):
+        p, q = plane_fan(left), plane_fan(right)
+        runs = [stable_support(p, q, seed=s) for s in (0, 1, 1009)]
+        first = [(c.cell.key, c.frame) for c in runs[0]]
+        for cells in runs[1:]:
+            assert [(c.cell.key, c.frame) for c in cells] == first
+        weight = sum(cell_weight(c.frame, c.cell.tangent_basis) for c in runs[0])
+        oracle = mixed_volume_oracle(PLANE_BODIES[left], PLANE_BODIES[right])
+        assert weight == 2 * oracle
+        assert all(not c.frame.is_zero() for c in runs[0])
 
 
 class TestStableIntersection:

@@ -225,6 +225,10 @@ class TestRefinement:
         assert len(pieces) == 2
         assert sum(VPolytope.from_points(p.vertices()).volume() for p in pieces) == 1
 
+    def test_split_empty_cell_has_no_pieces(self):
+        empty = HPoly(2, ineq=[((F(1), F(0)), F(0)), ((F(-1), F(0)), F(-1))])
+        assert split_by_hyperplanes(empty, [((F(0), F(1)), F(0))]) == []
+
 
 class TestLocalization:
     def test_square_boundary_at_corner(self):
