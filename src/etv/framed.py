@@ -20,9 +20,8 @@ from itertools import combinations
 from .exterior import (Alt, evaluate_cform, max_complex_subspace,
                        quotient_pushforward, restrict)
 from .linalg import basis_change_sign, kernel_basis
-from .polyhedra import (HPoly, PolyhedralSet, common_refinement,
-                        hyperplanes_of_cells, split_by_hyperplanes,
-                        triangulate_cell)
+from .lp import OPTIMAL, solve_lp
+from .polyhedra import HPoly, PolyhedralSet, common_refinement, triangulate_cell
 from .polynomials import Poly
 from .scalars import CRat
 
@@ -270,21 +269,29 @@ def _mergeable(a: FramedCell, b: FramedCell, others, ambient):
         return None
     if a.poly.eq != b.poly.eq:
         return None
-    valid = []
-    for coeffs, rhs in a.poly.ineq:
-        res = b.poly.maximize(coeffs)
-        if res.status == "optimal" and res.value <= rhs:
-            valid.append((coeffs, rhs))
-    for coeffs, rhs in b.poly.ineq:
-        res = a.poly.maximize(coeffs)
-        if res.status == "optimal" and res.value <= rhs:
-            valid.append((coeffs, rhs))
+    valid, out_a, out_b = [], [], []
+    for rows, other, out in ((a.poly.ineq, b.poly, out_a), (b.poly.ineq, a.poly, out_b)):
+        for coeffs, rhs in rows:
+            res = other.maximize(coeffs)
+            if res.status == OPTIMAL and res.value <= rhs:
+                valid.append((coeffs, rhs))
+            else:
+                out.append((coeffs, rhs))
     merged = HPoly(ambient, a.poly.eq, tuple(valid)).canonical()
-    # merged must be exactly the union
-    for piece in split_by_hyperplanes(merged, hyperplanes_of_cells([a.poly, b.poly])):
-        q = piece.relint_point()
-        if not (a.poly.contains_point(q) or b.poly.contains_point(q)):
-            return None
+    # merged contains a and b, so it is their union unless one of its points
+    # violates a row of out_a and a row of out_b: per pair, maximize the
+    # smaller violation t <= 1 and reject when it is positive
+    a_eq = [list(c) + [_ZERO] for c, _ in merged.eq]
+    b_eq = [r for _, r in merged.eq]
+    a_ub = [list(c) + [_ZERO] for c, _ in merged.ineq] + [[_ZERO] * ambient + [_ONE]]
+    b_ub = [r for _, r in merged.ineq] + [_ONE]
+    for ca, ra in out_a:
+        for cb, rb in out_b:
+            res = solve_lp([_ZERO] * ambient + [_ONE],
+                           a_ub + [[-x for x in ca] + [_ONE], [-x for x in cb] + [_ONE]],
+                           b_ub + [-ra, -rb], a_eq, b_eq, maximize=True)
+            if res.value > 0:
+                return None
     # merging must not break the face-to-face property with the rest
     for o in others:
         inter = merged.intersect(o.poly).canonical()
@@ -299,7 +306,14 @@ def _mergeable(a: FramedCell, b: FramedCell, others, ambient):
 
 
 def canonicalize(x, validate=True) -> EtvRep:
-    """Drop zero frames and greedily merge coplanar equal-framed neighbors."""
+    """Drop zero frames and greedily merge coplanar equal-framed neighbors.
+
+    Two cells merge when they have the same affine hull and the same frame,
+    their envelope (the rows of each that hold on the other) is exactly their
+    union, and the merged cell stays face-to-face with every other cell.  The
+    union test is the envelope test of Bemporad, Fukuda and Torrisi (2001,
+    "Convexity recognition of the union of polyhedra").
+    """
     x = _framed(x)
     if validate:
         report = is_etp(x)
@@ -341,7 +355,7 @@ def equivalent(p, q) -> bool:
     if not xs and not ys:
         return True
     if not xs or not ys:
-        return not xs and not ys
+        return False
     if x.k != y.k:
         return False
     cx = PolyhedralSet.from_cells(x.k, x.ambient, [c.poly for c in xs])

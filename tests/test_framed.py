@@ -1,16 +1,20 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import etv.framed as framed
-from etv.dualfan import dual_fan_etp
+import etv.polyhedra as polyhedra
+from etv.dualfan import dual_fan_etp, valid_k_range
 from etv.exterior import Alt
 from etv.framed import (EtvRep, FramedCell, FramedSet, TestForm, add, boundary,
                         canonicalize, cell_sign, constant_test_form, equivalent,
                         evaluate_current, exterior_derivative, irreducible_components,
                         is_closed, is_etp, is_positive, negate, scale,
                         split_positive, translate, unit_positive_frame, zero_etv)
-from etv.polyhedra import HPoly, VPolytope
+from etv.polyhedra import (HPoly, VPolytope, hyperplanes_of_cells,
+                           split_by_hyperplanes)
 from etv.polynomials import Poly
 from etv.scalars import CRat
 
@@ -326,3 +330,147 @@ class TestCanonicalizeDeterminism:
         rev = canonicalize(FramedSet(1, 1, list(reversed(rep.cells))))
         assert [c.poly.key for c in fwd.cells()] == [c.poly.key for c in rev.cells()]
         assert [c.frame for c in fwd.cells()] == [c.frame for c in rev.cells()]
+
+
+# ---------------------------------------------------------------------------
+# merging against the arrangement-split union test
+
+def _mergeable_by_split(a, b, others, ambient):
+    """Reference merge check: the envelope is the union iff the relative
+    interior point of every piece of its split by the walls of a and b lies
+    in a or in b."""
+    if a.frame != b.frame or a.poly.eq != b.poly.eq:
+        return None
+    valid = [(c, r) for p, q in ((a.poly, b.poly), (b.poly, a.poly)) for c, r in p.ineq
+             if (res := q.maximize(c)).status == "optimal" and res.value <= r]
+    merged = HPoly(ambient, a.poly.eq, valid).canonical()
+    for piece in split_by_hyperplanes(merged, hyperplanes_of_cells([a.poly, b.poly])):
+        q = piece.relint_point()
+        if not (a.poly.contains_point(q) or b.poly.contains_point(q)):
+            return None
+    for o in others:
+        inter = merged.intersect(o.poly).canonical()
+        if inter.is_empty():
+            continue
+        q = inter.relint_point()
+        if merged.smallest_face_at(q).key != inter.key or \
+                o.poly.smallest_face_at(q).key != inter.key:
+            return None
+    return merged
+
+
+def _plane_cell(rows, plane):
+    """The cell {w : rows} of R^2, in R^2 itself (plane None) or embedded in
+    C^2 = R^4 as z = (w1, w2, m1 . w + c1, m2 . w + c2) for plane = (m1, c1, m2, c2)."""
+    if plane is None:
+        return HPoly(2, ineq=rows).canonical()
+    m1, c1, m2, c2 = plane
+    eq = [((F(-m1[0]), F(-m1[1]), F(1), F(0)), F(c1)),
+          ((F(-m2[0]), F(-m2[1]), F(0), F(1)), F(c2))]
+    ineq = [((c[0], c[1], F(0), F(0)), r) for c, r in rows]
+    return HPoly(4, eq=eq, ineq=ineq).canonical()
+
+
+_coord = st.integers(-3, 3)
+_normal = st.tuples(_coord, _coord).filter(lambda v: v != (0, 0))
+
+
+@st.composite
+def _region(draw):
+    """Rows of a lattice polygon, a half-plane or a cone in R^2."""
+    kind = draw(st.sampled_from(["polygon", "halfplane", "cone"]))
+    if kind == "polygon":
+        pts = draw(st.lists(st.tuples(_coord, _coord), min_size=3, max_size=5, unique=True))
+        return list(VPolytope.from_points([tuple(map(F, p)) for p in pts]).to_hpoly().ineq)
+    apex = draw(st.tuples(_coord, _coord))
+    normals = draw(st.lists(_normal, min_size=1 if kind == "halfplane" else 2,
+                            max_size=1 if kind == "halfplane" else 2))
+    return [((F(u), F(v)), F(u * apex[0] + v * apex[1])) for u, v in normals]
+
+
+def _cut(normal, offset, below=True):
+    sign = 1 if below else -1
+    return ((F(sign * normal[0]), F(sign * normal[1])), F(sign * offset))
+
+
+@st.composite
+def _cell_pair(draw):
+    """Rows of two cells: independent, touching halves, nested or an L."""
+    base = draw(_region())
+    kind = draw(st.sampled_from(["independent", "halves", "nested", "corner"]))
+    n1, d1 = draw(_normal), draw(_coord)
+    if kind == "independent":
+        return base, draw(_region())
+    if kind == "halves":
+        return base + [_cut(n1, d1)], base + [_cut(n1, d1, below=False)]
+    if kind == "nested":
+        return base, base + [_cut(n1, d1)]
+    n2, d2 = draw(_normal), draw(_coord)
+    return base + [_cut(n1, d1)], base + [_cut(n1, d1, below=False), _cut(n2, d2)]
+
+
+_planes = st.one_of(st.none(), st.tuples(st.tuples(_coord, _coord), _coord,
+                                         st.tuples(_coord, _coord), _coord))
+
+
+def _square(x0, x1, y0, y1):
+    return [((F(1), F(0)), F(x1)), ((F(-1), F(0)), F(-x0)),
+            ((F(0), F(1)), F(y1)), ((F(0), F(-1)), F(-y0))]
+
+
+class TestMergeVerdict:
+    @settings(max_examples=80, deadline=None)
+    @given(pair=_cell_pair(), plane=_planes)
+    @example(pair=(_square(0, 1, 0, 1), _square(1, 2, 0, 1)), plane=None)  # touching
+    @example(pair=(_square(0, 2, 0, 1), _square(1, 3, 0, 1)), plane=None)  # overlapping
+    @example(pair=(_square(0, 3, 0, 3), _square(1, 2, 1, 2)), plane=None)  # nested
+    @example(pair=(_square(0, 2, 0, 1), _square(0, 1, 1, 2)), plane=None)  # L-shaped
+    @example(pair=(_square(0, 1, 0, 1), _square(1, 2, 0, 1)), plane=((1, 1), 2, (0, -1), 1))
+    @example(pair=([_cut((1, 0), 0)], [_cut((1, 0), 0, below=False)]), plane=None)
+    @example(pair=([_cut((1, 0), 0), _cut((0, 1), 0)],
+                   [_cut((1, 0), 0), _cut((0, 1), 0, below=False)]), plane=None)
+    def test_envelope_verdict_matches_split(self, pair, plane):
+        a, b = (_plane_cell(rows, plane) for rows in pair)
+        assume(a.dim == 2 and b.dim == 2)
+        frame = Alt(0, {(): CRat(1)})  # only compared for equality
+        ca, cb = FramedCell(a, frame), FramedCell(b, frame)
+        got = framed._mergeable(ca, cb, [], a.ambient)
+        want = _mergeable_by_split(ca, cb, [], a.ambient)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.key == want.key
+
+    def test_canonicalize_matches_split_on_corpus(self, polytope_corpus, monkeypatch):
+        fans = [dual_fan_etp(gamma, k, validate=False).framed_rep()
+                for _, gamma in polytope_corpus for k in valid_k_range(gamma)]
+        got = [canonicalize(rep, validate=False) for rep in fans]
+        monkeypatch.setattr(framed, "_mergeable", _mergeable_by_split)
+        want = [canonicalize(rep, validate=False) for rep in fans]
+        assert any(len(w.cells()) < len(rep.cells) for rep, w in zip(fans, want))
+        for g, w in zip(got, want):
+            assert [(c.poly.key, c.frame) for c in g.cells()] == \
+                [(c.poly.key, c.frame) for c in w.cells()]
+
+
+class TestMergeLpCount:
+    def test_hexagon_vertex_fan(self, polytope_corpus, monkeypatch):
+        hexagon = dict(polytope_corpus)["hexagon"]
+        polyhedra._CANONICAL_MEMO.clear()
+        rep = dual_fan_etp(hexagon, 2, validate=False).framed_rep()
+        calls = [0]
+        solve = polyhedra.solve_lp
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return solve(*args, **kwargs)
+
+        def no_split(*args):
+            raise AssertionError("split_by_hyperplanes called")
+
+        monkeypatch.setattr(polyhedra, "solve_lp", counting)
+        monkeypatch.setattr(framed, "solve_lp", counting)
+        monkeypatch.setattr(polyhedra, "split_by_hyperplanes", no_split)
+        polyhedra._CANONICAL_MEMO.clear()
+        merged = canonicalize(rep, validate=False)
+        assert len(rep.cells) == 6 and len(merged.cells()) == 3
+        assert calls[0] <= 173  # 338 with the arrangement-split union test
