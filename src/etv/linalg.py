@@ -1,20 +1,100 @@
 """Exact dense linear algebra over Q or Q(i).
 
-Vectors are tuples, matrices are lists of row tuples.  All routines are
-field-generic: entries only need +, -, *, / and == 0, which both Fraction
-and CRat provide.  Reduced row echelon form is the canonical form used
-throughout the library for subspaces, so two equal subspaces always
-produce identical bases.
+Vectors are tuples, matrices are lists of row tuples.  Rational input
+(every entry an int or a Fraction) is eliminated fraction-free: each row
+is scaled to integers once, a row operation p*r_i - f*r_r stays in the
+integers and the new row is divided by its content, and Fractions are
+built only for the result (Bareiss 1968 for `det`).  Input with a CRat
+entry takes the field-generic path (`_rref_field`, `_det_field`), whose
+entries only need +, -, *, / and == 0.  Both paths pick the same pivots
+and return the same values.  Small integer results are shared Fraction
+objects.  Reduced row echelon form is the canonical form used throughout
+the library for subspaces, so two equal subspaces always produce
+identical bases.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
+
+_SMALL = {k: Fraction(k) for k in range(-16, 17)}
+
+
+def _fraction(num: int, den: int = 1) -> Fraction:
+    """num/den as a Fraction; integers in [-16, 16] are shared objects."""
+    q, m = divmod(num, den)
+    if m:
+        return Fraction(num, den)
+    return _SMALL[q] if -16 <= q <= 16 else Fraction(q)
+
+
+def _int_rows(rows: Sequence[Sequence]):
+    """(integer rows, product of row scales), or None for a non-rational entry."""
+    mat, scale = [], 1
+    for row in rows:
+        try:
+            dens = [x.denominator for x in row]  # CRat has no denominator
+        except AttributeError:
+            return None
+        den = lcm(*dens)
+        if den == 1:
+            mat.append([x.numerator for x in row])
+        else:
+            mat.append([x.numerator * (den // d) for x, d in zip(row, dens)])
+            scale *= den
+    return mat, scale
+
+
+def _eliminate(mat: list[list[int]], full: bool) -> list[int]:
+    """Fraction-free elimination of integer rows in place; the pivot columns.
+
+    The pivot is the first nonzero entry of the column at or below the
+    current row, as in `_rref_field`.  Each new row is a nonzero multiple of
+    the field-generic one, so zero patterns and pivots agree.  `full` also
+    clears the column above each pivot.
+    """
+    pivots = []
+    nrows = len(mat)
+    r = 0
+    for c in range(len(mat[0]) if mat else 0):
+        for piv in range(r, nrows):
+            if mat[piv][c]:
+                break
+        else:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        prow = mat[r]
+        p = prow[c]
+        for i in range(0 if full else r + 1, nrows):
+            f = mat[i][c]
+            if f and i != r:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                row = [a * x - b * y for x, y in zip(mat[i], prow)]
+                g = gcd(*row)
+                mat[i] = [x // g for x in row] if g > 1 else row
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return pivots
 
 
 def rref(rows: Sequence[Sequence]) -> tuple[list[tuple], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
+    ints = _int_rows(rows)
+    if ints is None:
+        return _rref_field(rows)
+    mat = ints[0]
+    pivots = _eliminate(mat, True)
+    return [tuple(_fraction(x, row[c]) for x in row)
+            for row, c in zip(mat, pivots)], pivots
+
+
+def _rref_field(rows: Sequence[Sequence]) -> tuple[list[tuple], list[int]]:
+    """`rref` by field operations on the entries (the path for Q(i))."""
     mat = [list(r) for r in rows]
     if not mat:
         return [], []
@@ -44,7 +124,10 @@ def rref(rows: Sequence[Sequence]) -> tuple[list[tuple], list[int]]:
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    return len(rref(rows)[0])
+    ints = _int_rows(rows)
+    if ints is None:
+        return len(_rref_field(rows)[0])
+    return len(_eliminate(ints[0], False))
 
 
 def kernel_basis(rows: Sequence[Sequence], ncols: int, one=Fraction(1)) -> list[tuple]:
@@ -97,13 +180,39 @@ def in_span(basis: Sequence[Sequence], vec: Sequence) -> bool:
 
 
 def det(rows: Sequence[Sequence]):
-    """Determinant by fraction-friendly Gaussian elimination."""
+    """Determinant; Bareiss elimination with exact division on rational input."""
     n = len(rows)
-    mat = [list(r) for r in rows]
-    if any(len(r) != n for r in mat):
+    if any(len(r) != n for r in rows):
         raise ValueError("determinant of non-square matrix")
     if n == 0:
         return Fraction(1)
+    ints = _int_rows(rows)
+    if ints is None:
+        return _det_field(rows)
+    mat, scale = ints
+    sign, prev = 1, 1
+    for c in range(n):
+        for piv in range(c, n):
+            if mat[piv][c]:
+                break
+        else:
+            return _SMALL[0]
+        if piv != c:
+            mat[c], mat[piv] = mat[piv], mat[c]
+            sign = -sign
+        prow = mat[c]
+        p = prow[c]
+        for i in range(c + 1, n):
+            f = mat[i][c]
+            mat[i] = [(p * x - f * y) // prev for x, y in zip(mat[i], prow)]
+        prev = p
+    return _fraction(sign * prev, scale)
+
+
+def _det_field(rows: Sequence[Sequence]):
+    """`det` by fraction-friendly Gaussian elimination (the path for Q(i))."""
+    n = len(rows)
+    mat = [list(r) for r in rows]
     result = None
     sign_flips = 0
     for c in range(n):
@@ -173,15 +282,13 @@ def intersect_rowspaces(a: Sequence[Sequence], b: Sequence[Sequence], ncols: int
 
 
 def scale_primitive(vec: Sequence[Fraction], lead_positive: bool = True) -> tuple:
-    """Scale a rational vector to coprime integers, leading entry positive."""
-    from math import gcd
-    denom = 1
-    for x in vec:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
+    """Scale a rational vector to coprime integers, leading entry positive.
+
+    The entries are Fractions; integers in [-16, 16] are shared objects.
+    """
+    den = lcm(*[x.denominator for x in vec])
+    ints = [x.numerator * (den // x.denominator) for x in vec]
+    g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
     if lead_positive:
@@ -190,4 +297,4 @@ def scale_primitive(vec: Sequence[Fraction], lead_positive: bool = True) -> tupl
                 if v < 0:
                     ints = [-w for w in ints]
                 break
-    return tuple(Fraction(v) for v in ints)
+    return tuple(_fraction(v) for v in ints)

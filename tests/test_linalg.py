@@ -1,11 +1,16 @@
+import sys
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from etv import linalg
+from etv.dualfan import dual_fan_etp, valid_k_range
 from etv.linalg import (basis_change_sign, coords_in_basis, det, in_span,
                         intersect_rowspaces, kernel_basis, rank, rref,
                         scale_primitive, solve)
+from etv.scalars import CRat
 
 rat = st.fractions(max_denominator=4, min_value=-4, max_value=4)
 
@@ -77,3 +82,137 @@ def test_coords_roundtrip():
     for coeff, b in zip(c, basis):
         rebuilt = [r + coeff * x for r, x in zip(rebuilt, b)]
     assert tuple(rebuilt) == vec
+
+
+# -- integer path against the field-generic reference -------------------------
+
+big = st.one_of(st.just(0), st.integers(-10**6, 10**6),
+                st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 1000)))
+
+
+@st.composite
+def rational_matrix(draw):
+    """Tall or wide int/Fraction matrices with some zero rows and columns."""
+    nrows, ncols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    m = draw(st.lists(st.lists(big, min_size=ncols, max_size=ncols),
+                      min_size=nrows, max_size=nrows))
+    for i in draw(st.sets(st.integers(0, nrows - 1), max_size=2)):
+        m[i] = [0] * ncols
+    for j in draw(st.sets(st.integers(0, ncols - 1), max_size=2)):
+        for row in m:
+            row[j] = F(0)
+    return m
+
+
+def _as_fractions(m):
+    return [[F(x) for x in row] for row in m]
+
+
+def _all_fractions(rows):
+    return all(type(x) is F for row in rows for x in row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrix(), st.data())
+def test_integer_path_matches_field_reference(m, data):
+    ncols = len(m[0])
+    mf = _as_fractions(m)
+    red, pivots = rref(m)
+    assert (red, pivots) == linalg._rref_field(mf) and _all_fractions(red)
+    assert rank(m) == len(red)
+    k = min(len(m), ncols)
+    square = [row[:k] for row in m[:k]]
+    d = det(square)
+    assert d == linalg._det_field(_as_fractions(square)) and type(d) is F
+
+    x = data.draw(st.lists(big, min_size=ncols, max_size=ncols))
+    rhs = [sum(F(a) * b for a, b in zip(row, x)) for row in m]
+    if data.draw(st.booleans()):
+        rhs[0] += 1
+    half = data.draw(st.integers(0, len(m)))
+    got = (kernel_basis(m, ncols), solve(m, rhs),
+           intersect_rowspaces(m[:half], m[half:], ncols))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "rref", linalg._rref_field)
+        want = (kernel_basis(mf, ncols), solve(mf, rhs),
+                intersect_rowspaces(mf[:half], mf[half:], ncols))
+    assert got == want
+    assert _all_fractions(got[0]) and _all_fractions(got[2])
+    assert got[1] is None or _all_fractions([got[1]])
+
+
+def test_rref_matches_reference_on_corpus(polytope_corpus, monkeypatch):
+    """Every rref call of dual_fan_etp on the corpus agrees with the reference."""
+    original = linalg.rref
+    calls, differences = [0], []
+
+    def checked(rows):
+        rows = [list(r) for r in rows]
+        got = original(rows)
+        want = linalg._rref_field([[F(x) if isinstance(x, int) else x for x in r]
+                                   for r in rows])
+        calls[0] += 1
+        if got != want:
+            differences.append(rows)
+        return got
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("etv") and getattr(mod, "rref", None) is original:
+            monkeypatch.setattr(mod, "rref", checked)
+    for _, gamma in polytope_corpus:
+        for k in valid_k_range(gamma):
+            dual_fan_etp(gamma, k)
+    assert calls[0] > 1000 and differences == []
+
+
+def _typed(v):
+    """Nested value with each scalar paired with its type."""
+    if isinstance(v, (list, tuple)):
+        return [_typed(x) for x in v]
+    return (type(v), v)
+
+
+def test_complex_input_keeps_field_path():
+    """Q(i) and mixed CRat/Fraction rows: values and entry types as before."""
+    C = CRat
+    pure = [[C(1, 1), C(2), C(0, 1)], [C(2, 2), C(4), C(0, 2)], [C(0, 1), C(1), C(1)]]
+    assert _typed(rref(pure)) == _typed(
+        ([(C(1), C(0), C(F(-3, 2), F(-1, 2))), (C(0), C(1), C(F(1, 2), F(3, 2)))],
+         [0, 1]))
+    assert rank(pure) == 2 and _typed(det(pure)) == _typed(C(0))
+    assert _typed(kernel_basis(pure, 3, one=C(1))) == _typed(
+        [(C(1), C(F(-3, 5), F(-4, 5)), C(F(3, 5), F(-1, 5)))])
+    assert solve(pure, [C(1), C(0, 1), C(2)]) is None
+
+    mixed = [[C(0, 1), F(0), F(1, 2)], [F(0), F(3), F(1)], [F(1), F(2), C(1, 1)]]
+    assert _typed(det(mixed)) == _typed(C(F(-9, 2), 1))
+    assert _typed(solve(mixed, [C(1), C(0, 1), C(2)])) == _typed(
+        (C(F(52, 85), F(-64, 85)), C(F(-14, 85), F(63, 85)), C(F(42, 85), F(-104, 85))))
+
+    late = [[F(1), F(2), F(0)], [F(2), F(4), C(0, 1)]]  # CRat only in a later row
+    assert _typed(rref(late)) == _typed(([(F(1), F(2), F(0)), (C(0), C(0), C(1))], [0, 2]))
+    assert rank(late) == 2
+    assert _typed(kernel_basis(late, 3, one=C(1))) == _typed([(F(1), C(F(-1, 2)), C(0))])
+
+
+def _shared(values):
+    """True when equal small-integer values are one object each."""
+    first = {}
+    return all(first.setdefault(x, x) is x for x in values
+               if x.denominator == 1 and -16 <= x <= 16)
+
+
+def test_small_integers_are_shared(polytope_corpus):
+    assert _shared(scale_primitive((F(2, 3), F(-4, 3), F(0), F(4, 3))) +
+                   scale_primitive((F(-5), F(0), F(5), F(10))))
+    red, _ = rref([[F(2), F(4), F(6)], [F(1), F(3), F(5)], [3, 7, 11]])
+    assert red == [(1, 0, -1), (0, 1, 2)] and _shared([x for row in red for x in row])
+    hexagon = dict(polytope_corpus)["hexagon"]
+    values = []
+    for k in valid_k_range(hexagon):
+        fan = dual_fan_etp(hexagon, k, validate=False)
+        for cell in fan.framed_rep().cells + fan.result.cells():
+            p = cell.poly
+            values += [x for a, b in p.eq + p.ineq for x in a + (b,)]
+            values += [x for v in p.tangent_basis for x in v]
+    assert len(values) > 100 and _shared(values)
