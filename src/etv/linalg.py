@@ -111,6 +111,8 @@ def _rref_field(rows: Sequence[Sequence]) -> tuple[list[tuple], list[int]]:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
         inv = mat[r][c]
+        if isinstance(inv, int):  # int / int would be a float
+            inv = Fraction(inv)
         mat[r] = [x / inv for x in mat[r]]
         for i in range(len(mat)):
             if i != r and mat[i][c] != 0:
@@ -227,6 +229,8 @@ def _det_field(rows: Sequence[Sequence]):
             mat[c], mat[piv] = mat[piv], mat[c]
             sign_flips += 1
         pv = mat[c][c]
+        if isinstance(pv, int):  # int / int would be a float
+            pv = Fraction(pv)
         result = pv if result is None else result * pv
         for i in range(c + 1, n):
             if mat[i][c] != 0:

@@ -28,6 +28,11 @@ computation; a larger one holds more memory for little further saving.
 After the reduction modulo the hull every surviving inequality is nonzero
 on a free coordinate of the hull, so no inequality is implied by the hull
 alone and only the redundancy test against the other inequalities is run.
+
+Facets of a canonical cell skip the front half of the canonical form: each
+row of the cell cuts out a nonempty facet whose affine hull is the cell's
+hull plus that row (see `HPoly.facets_with_normals`), so the facet goes
+straight to `_canonical_from_hull` and bypasses the memo.
 """
 
 from __future__ import annotations
@@ -186,54 +191,9 @@ class HPoly:
                 eqs.append((a, b))
             else:
                 keep.append((a, b))
-        ineqs = keep
-
-        # canonical affine hull: rref of [A | b]
-        if eqs:
-            aug = [tuple(a) + (b,) for a, b in eqs]
-            red, pivots = rref(aug)
-            if any(all(x == 0 for x in row[:-1]) and row[-1] != 0 for row in red):
-                return HPoly.empty(self.ambient)
-            # reduce inequalities modulo the hull so equal sets share keys
-            reduced = []
-            seen_r = set()
-            for a, b in ineqs:
-                v = list(a) + [b]
-                for row, p in zip(red, pivots):
-                    f = v[p]
-                    if f != 0:
-                        v = [x - f * y for x, y in zip(v, row)]
-                prim = _prim_ineq(v[:-1], v[-1])
-                if prim is None:
-                    if v[-1] < 0:
-                        return HPoly.empty(self.ambient)
-                    continue
-                if prim not in seen_r:
-                    seen_r.add(prim)
-                    reduced.append(prim)
-            ineqs = reduced
-            eqs = []
-            for row in red:
-                coeffs, rhs = _prim_eq(row[:-1], row[-1])
-                eqs.append((coeffs, rhs))
-
-        # drop inequalities implied by the others
-        poly_eqs = tuple(eqs)
-        irredundant = list(ineqs)
-        i = 0
-        while i < len(irredundant):
-            rest = irredundant[:i] + irredundant[i + 1:]
-            a, b = irredundant[i]
-            res = HPoly(self.ambient, poly_eqs, tuple(rest)).maximize(a)
-            if res.status == OPTIMAL and res.value <= b:
-                irredundant.pop(i)
-            else:
-                i += 1
-
-        out = HPoly(self.ambient, tuple(eqs), tuple(sorted(irredundant)),
-                    _canonical=True)
-        out._empty = False
-        return out
+        # every implicit equality is in eqs now; `facets_with_normals` shares
+        # this tail
+        return _canonical_from_hull(self.ambient, eqs, keep)
 
     @property
     def key(self):
@@ -315,16 +275,25 @@ class HPoly:
         return self.canonical().key == other.canonical().key
 
     def facets_with_normals(self):
-        """Pairs (facet, inequality) for every proper facet of the cell."""
+        """Pairs (facet, inequality) for every proper facet of the cell.
+
+        Every row a.z <= b of a canonical cell P of dimension d cuts out a
+        facet F = P & {a.z = b}: irredundancy makes F nonempty of dimension
+        d - 1 (Ziegler, Lectures on Polytopes, 2.2).  F has no implicit
+        equality besides a.z = b: if another row a' were tight on all of F,
+        then a' = lam * a modulo the hull of P, and lam > 0 makes the two
+        rows duplicates, which canonical form excludes, lam < 0 makes a' an
+        implicit equality of P, and lam = 0 makes a' zero modulo the hull.
+        So the hull of F is known, and the facet is built by the tail of the
+        canonical form alone: no emptiness LP, no equality scan, no memo.
+        """
         if self._facets is None:
             if not self._canonical:
                 raise ValueError("facets of non-canonical polyhedron")
-            out = []
-            for a, b in self.ineq:
-                f = HPoly(self.ambient, self.eq + ((a, b),), self.ineq).canonical()
-                if not f.is_empty() and f.dim == self.dim - 1:
-                    out.append((f, (a, b)))
-            self._facets = out
+            rows = self.ineq
+            self._facets = [(_canonical_from_hull(self.ambient, self.eq + (row,),
+                                                  rows[:i] + rows[i + 1:]), row)
+                            for i, row in enumerate(rows)]
         return self._facets
 
     def all_faces(self):
@@ -423,6 +392,51 @@ class HPoly:
         if self._empty:
             return f"HPoly(empty, ambient={self.ambient})"
         return f"HPoly(eq={len(self.eq)}, ineq={len(self.ineq)}, ambient={self.ambient})"
+
+
+def _canonical_from_hull(ambient, eqs, ineqs) -> HPoly:
+    """The canonical HPoly of a nonempty {eqs, ineqs} whose `eqs` already
+    hold every implicit equality, so that `eqs` span its affine hull.
+
+    Takes the rref of the hull, reduces the inequalities modulo it and drops
+    the ones implied by the others, with one LP per row left after the
+    reduction.
+    """
+    if eqs:
+        red, pivots = rref([tuple(a) + (b,) for a, b in eqs])
+        # reduce inequalities modulo the hull so equal sets share keys
+        reduced = []
+        seen = set()
+        for a, b in ineqs:
+            v = list(a) + [b]
+            for row, p in zip(red, pivots):
+                f = v[p]
+                if f != 0:
+                    v = [x - f * y for x, y in zip(v, row)]
+            prim = _prim_ineq(v[:-1], v[-1])
+            # a row that is zero modulo the hull reads 0 <= b, true on a nonempty set
+            if prim is not None and prim not in seen:
+                seen.add(prim)
+                reduced.append(prim)
+        ineqs = reduced
+        eqs = [_prim_eq(row[:-1], row[-1]) for row in red]
+
+    # drop inequalities implied by the others
+    eqs = tuple(eqs)
+    irredundant = list(ineqs)
+    i = 0
+    while i < len(irredundant):
+        rest = irredundant[:i] + irredundant[i + 1:]
+        a, b = irredundant[i]
+        res = HPoly(ambient, eqs, tuple(rest)).maximize(a)
+        if res.status == OPTIMAL and res.value <= b:
+            irredundant.pop(i)
+        else:
+            i += 1
+
+    out = HPoly(ambient, eqs, tuple(sorted(irredundant)), _canonical=True)
+    out._empty = False
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from etv.polyhedra import (HPoly, VPolytope, hyperplanes_of_cells,
                            split_by_hyperplanes)
 from etv.polynomials import Poly
 from etv.scalars import CRat
+from lattice_cells import coord, normal, plane_cell, planes, region
 
 
 def imag_axis_cell(weight=1):
@@ -359,35 +360,6 @@ def _mergeable_by_split(a, b, others, ambient):
     return merged
 
 
-def _plane_cell(rows, plane):
-    """The cell {w : rows} of R^2, in R^2 itself (plane None) or embedded in
-    C^2 = R^4 as z = (w1, w2, m1 . w + c1, m2 . w + c2) for plane = (m1, c1, m2, c2)."""
-    if plane is None:
-        return HPoly(2, ineq=rows).canonical()
-    m1, c1, m2, c2 = plane
-    eq = [((F(-m1[0]), F(-m1[1]), F(1), F(0)), F(c1)),
-          ((F(-m2[0]), F(-m2[1]), F(0), F(1)), F(c2))]
-    ineq = [((c[0], c[1], F(0), F(0)), r) for c, r in rows]
-    return HPoly(4, eq=eq, ineq=ineq).canonical()
-
-
-_coord = st.integers(-3, 3)
-_normal = st.tuples(_coord, _coord).filter(lambda v: v != (0, 0))
-
-
-@st.composite
-def _region(draw):
-    """Rows of a lattice polygon, a half-plane or a cone in R^2."""
-    kind = draw(st.sampled_from(["polygon", "halfplane", "cone"]))
-    if kind == "polygon":
-        pts = draw(st.lists(st.tuples(_coord, _coord), min_size=3, max_size=5, unique=True))
-        return list(VPolytope.from_points([tuple(map(F, p)) for p in pts]).to_hpoly().ineq)
-    apex = draw(st.tuples(_coord, _coord))
-    normals = draw(st.lists(_normal, min_size=1 if kind == "halfplane" else 2,
-                            max_size=1 if kind == "halfplane" else 2))
-    return [((F(u), F(v)), F(u * apex[0] + v * apex[1])) for u, v in normals]
-
-
 def _cut(normal, offset, below=True):
     sign = 1 if below else -1
     return ((F(sign * normal[0]), F(sign * normal[1])), F(sign * offset))
@@ -396,21 +368,17 @@ def _cut(normal, offset, below=True):
 @st.composite
 def _cell_pair(draw):
     """Rows of two cells: independent, touching halves, nested or an L."""
-    base = draw(_region())
+    base = draw(region())
     kind = draw(st.sampled_from(["independent", "halves", "nested", "corner"]))
-    n1, d1 = draw(_normal), draw(_coord)
+    n1, d1 = draw(normal), draw(coord)
     if kind == "independent":
-        return base, draw(_region())
+        return base, draw(region())
     if kind == "halves":
         return base + [_cut(n1, d1)], base + [_cut(n1, d1, below=False)]
     if kind == "nested":
         return base, base + [_cut(n1, d1)]
-    n2, d2 = draw(_normal), draw(_coord)
+    n2, d2 = draw(normal), draw(coord)
     return base + [_cut(n1, d1)], base + [_cut(n1, d1, below=False), _cut(n2, d2)]
-
-
-_planes = st.one_of(st.none(), st.tuples(st.tuples(_coord, _coord), _coord,
-                                         st.tuples(_coord, _coord), _coord))
 
 
 def _square(x0, x1, y0, y1):
@@ -420,7 +388,7 @@ def _square(x0, x1, y0, y1):
 
 class TestMergeVerdict:
     @settings(max_examples=80, deadline=None)
-    @given(pair=_cell_pair(), plane=_planes)
+    @given(pair=_cell_pair(), plane=planes)
     @example(pair=(_square(0, 1, 0, 1), _square(1, 2, 0, 1)), plane=None)  # touching
     @example(pair=(_square(0, 2, 0, 1), _square(1, 3, 0, 1)), plane=None)  # overlapping
     @example(pair=(_square(0, 3, 0, 3), _square(1, 2, 1, 2)), plane=None)  # nested
@@ -430,7 +398,7 @@ class TestMergeVerdict:
     @example(pair=([_cut((1, 0), 0), _cut((0, 1), 0)],
                    [_cut((1, 0), 0), _cut((0, 1), 0, below=False)]), plane=None)
     def test_envelope_verdict_matches_split(self, pair, plane):
-        a, b = (_plane_cell(rows, plane) for rows in pair)
+        a, b = (plane_cell(rows, plane) for rows in pair)
         assume(a.dim == 2 and b.dim == 2)
         frame = Alt(0, {(): CRat(1)})  # only compared for equality
         ca, cb = FramedCell(a, frame), FramedCell(b, frame)

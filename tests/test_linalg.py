@@ -216,3 +216,15 @@ def test_small_integers_are_shared(polytope_corpus):
             values += [x for a, b in p.eq + p.ineq for x in a + (b,)]
             values += [x for v in p.tangent_basis for x in v]
     assert len(values) > 100 and _shared(values)
+
+
+def test_field_path_returns_no_floats():
+    """Int entries next to a CRat are divided as Fractions, never as floats."""
+    C = CRat
+    red, pivots = rref([[C(0, 1), 0], [0, 3]])
+    assert pivots == [0, 1]
+    assert _typed(red) == _typed([(C(1), C(0)), (F(0), F(1))])
+    d = det([[C(0, 1), 0, 0], [0, 2, 1], [0, 4, 3]])
+    assert _typed(d) == _typed(C(0, 2))
+    for x in [x for row in red for x in row] + [d, d.re, d.im]:
+        assert not isinstance(x, float)

@@ -6,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import etv.polyhedra as polyhedra
+from etv.dualfan import dual_fan_etp, valid_k_range
 from etv.exterior import Alt
+from etv.monge import linearity_complex, support_function
 from etv.polyhedra import (HPoly, PolyhedralSet, VPolytope, common_refinement,
                            dual_cone, hyperplanes_of_cells, split_by_hyperplanes,
                            triangulate_cell, volume_multivector)
+from lattice_cells import coord, normal, plane_cell, planes, region
 
 
 def pt(*xs):
@@ -417,3 +420,95 @@ class TestSplitOwnWalls:
         assert sorted(repr(p.key) for p in pieces) == \
             sorted(repr(p.key) for p in _split_by_straddle_lps(cell, hyps))
         assert len(pieces) > 1
+
+
+# ---------------------------------------------------------------------------
+# facets from the known hull against one canonical() per facet
+
+def _facets_by_canonical(cell):
+    """Reference facets: a full `canonical()` of the cell with each row made
+    an equality, kept when nonempty of dimension one less than the cell."""
+    out = []
+    for a, b in cell.ineq:
+        f = HPoly(cell.ambient, cell.eq + ((a, b),), cell.ineq).canonical()
+        if not f.is_empty() and f.dim == cell.dim - 1:
+            out.append((f, (a, b)))
+    return out
+
+
+def _fresh(cell):
+    """A copy of a canonical cell without its cached facets."""
+    out = HPoly(cell.ambient, cell.eq, cell.ineq, _canonical=True)
+    out._empty = False
+    return out
+
+
+def _assert_faces_match_reference(cell):
+    """Facets, keys, normals and order agree with the reference on the cell
+    and on all of its faces; returns the number of cells compared."""
+    frontier, seen = [cell], {cell.key}
+    while frontier:
+        nxt = []
+        for c in frontier:
+            got = _fresh(c).facets_with_normals()
+            want = _facets_by_canonical(c)
+            assert [(f.key, row) for f, row in got] == [(f.key, row) for f, row in want]
+            for f, _ in got:
+                assert f._canonical and not f.is_empty() and f.dim == c.dim - 1
+                if f.key not in seen:
+                    seen.add(f.key)
+                    nxt.append(f)
+        frontier = nxt
+    return len(seen)
+
+
+class TestFacetsFromHull:
+    def test_dual_fan_cells_match_reference(self, polytope_corpus):
+        compared = 0
+        for _, gamma in polytope_corpus:
+            for k in valid_k_range(gamma):
+                for cell in dual_fan_etp(gamma, k, validate=False).framed_rep().cells:
+                    compared += _assert_faces_match_reference(cell.poly)
+        assert compared >= 400
+
+    def test_corner_locus_cells_match_reference(self, polytope_corpus):
+        compared = 0
+        for _, gamma in polytope_corpus:
+            for lc in linearity_complex(support_function(gamma)):
+                compared += _assert_faces_match_reference(lc.poly)
+        assert compared >= 250
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=region(), cuts=st.lists(st.tuples(normal, coord), max_size=2), plane=planes)
+    def test_random_cells_match_reference(self, rows, cuts, plane):
+        rows = rows + [((F(u), F(v)), F(d)) for (u, v), d in cuts]
+        cell = plane_cell(rows, plane)
+        if not cell.is_empty():
+            _assert_faces_match_reference(cell)
+
+    def test_no_canonical_no_emptiness_lp(self, polytope_corpus, lp_calls, monkeypatch):
+        cube = _fresh(VPolytope.from_points([pt(a, b, c) for a in (0, 1) for b in (0, 1)
+                                             for c in (0, 1)]).to_hpoly())
+        hexagon = dict(polytope_corpus)["hexagon"]
+        cells = [_fresh(hexagon.to_hpoly())] + [
+            _fresh(c.poly) for k in valid_k_range(hexagon)
+            for c in dual_fan_etp(hexagon, k, validate=False).framed_rep().cells]
+
+        def forbidden(*args):
+            raise AssertionError("facets built through canonical() or is_empty()")
+
+        with monkeypatch.context() as m:
+            m.setattr(HPoly, "canonical", forbidden)
+            m.setattr(HPoly, "is_empty", forbidden)
+            lp_calls[0] = 0
+            cube_facets = cube.facets_with_normals()
+            # one redundancy LP for each of the 4 side rows of each of 6 facets
+            assert lp_calls[0] == 24
+            lp_calls[0] = 0
+            for c in cells:
+                c.facets_with_normals()
+            hexagon_lps = lp_calls[0]
+        assert len(cube_facets) == 6 and all(f.dim == 2 for f, _ in cube_facets)
+        # the polygon's 6 edges see 4 side rows each (the opposite edge is
+        # parallel); each 2-cone edge sees the other ray's row; rays see none
+        assert hexagon_lps == 6 * 4 + 6 * 2
