@@ -191,10 +191,7 @@ def _cmd_mixed_volume(args):
 
 
 def _cmd_mv_oracle(args):
-    bodies = []
-    for p in args.inputs:
-        obj = _load(p)
-        bodies.append([jsonio.vector_from_json(v) for v in obj["vertices"]])
+    bodies = [jsonio.points_from_json(_load(p)) for p in args.inputs]
     value = mixed_volume_oracle(*bodies)
     return _emit(args, _report(args, "mv-oracle",
                                {"value": rat_str(value)}), EXIT_OK)
@@ -216,10 +213,7 @@ def _cmd_degeneracy(args):
 
 
 def _cmd_mv_zero(args):
-    bodies = []
-    for p in args.bodies:
-        obj = _load(p)
-        bodies.append([jsonio.vector_from_json(v) for v in obj["vertices"]])
+    bodies = [jsonio.points_from_json(_load(p)) for p in args.bodies]
     zero, subset, basis = mixed_volume_zero_criterion(*bodies)
     result = {"zero": zero}
     if zero:

@@ -217,7 +217,7 @@ def validate_h_certificate(cert: HDegeneracyCertificate, funcs) -> bool:
     return True
 
 
-def ma_zero_criterion(*funcs: PLFunction, seed: int = 0):
+def ma_zero_criterion(*funcs: PLFunction):
     """Verdict for vanishing of the mixed product of convex PL functions.
 
     Returns (zero, certificate): zero is True iff the family of hyperplane

@@ -61,13 +61,6 @@ class Alt:
     def scalar(value) -> "Alt":
         return Alt(0, {(): value})
 
-    @staticmethod
-    def basis_blade(indices, value=Fraction(1)) -> "Alt":
-        key, sign = _sort_key(tuple(indices))
-        if key is None:
-            return Alt(len(indices))
-        return Alt(len(indices), {key: value if sign > 0 else -value})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -444,6 +437,3 @@ class OddForm:
         sign = basis_change_sign(list(self.basis), list(new_basis))
         form = self.form if sign > 0 else -self.form
         return OddForm(form=form, basis=tuple(new_basis))
-
-    def same_odd_form(self, other: "OddForm") -> bool:
-        return self.transported(other.basis).form == other.form

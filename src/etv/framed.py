@@ -21,7 +21,7 @@ from .exterior import (Alt, evaluate_cform, max_complex_subspace,
                        quotient_pushforward, restrict)
 from .linalg import basis_change_sign, kernel_basis
 from .lp import OPTIMAL, solve_lp
-from .polyhedra import HPoly, PolyhedralSet, common_refinement, triangulate_cell
+from .polyhedra import HPoly, PolyhedralSet, common_refinement, triangulate
 from .polynomials import Poly
 from .scalars import CRat
 
@@ -66,10 +66,6 @@ class FramedSet:
             if not c.frame.is_zero() and c.poly.contains_point(p):
                 return c.frame
         return Alt(2 * self.n - self.k)
-
-    def carrier(self) -> PolyhedralSet:
-        return PolyhedralSet.from_cells(self.k, self.ambient,
-                                        [c.poly for c in self.support_cells()])
 
     def translated(self, vec) -> "FramedSet":
         return FramedSet(self.n, self.k, [c.translated(vec) for c in self.cells])
@@ -549,7 +545,7 @@ def evaluate_current(p, tf: TestForm) -> Fraction:
         region = c.poly.intersect(box).canonical()
         if region.is_empty() or region.dim < x.k:
             continue
-        for simplex in triangulate_cell(region):
+        for simplex in triangulate(region.vertices()):
             v0 = simplex[0]
             edges = [tuple(a - b for a, b in zip(v, v0)) for v in simplex[1:]]
             sign = basis_change_sign(edges, list(c.poly.tangent_basis))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exterior import Alt, max_complex_subspace, quotient_pushforward, restrict
-from .framed import (EtvRep, FramedCell, FramedSet, add, canonicalize,
+from .framed import (EtvRep, FramedCell, FramedSet, _framed, add, canonicalize,
                      cell_sign, is_positive, negate, split_positive, zero_etv)
 from .linalg import intersect_rowspaces, rank
 from .polyhedra import HPoly, hyperplanes_of_cells, split_by_hyperplanes
@@ -58,8 +58,8 @@ def _pair_transversal(a: HPoly, b: HPoly, memo) -> bool:
 
 def transversal(x, y) -> bool:
     """Every pair of touching faces has tangent spaces summing to R^{2n}."""
-    xf = x.framed if isinstance(x, EtvRep) else x
-    yf = y.framed if isinstance(y, EtvRep) else y
+    xf = _framed(x)
+    yf = _framed(y)
     memo: dict = {}
     for a in xf.support_cells():
         for b in yf.support_cells():
@@ -92,8 +92,8 @@ def _wedge_frame(fa: FramedCell, fb: FramedCell, cell: HPoly) -> Alt:
 
 def transversal_intersection(x, y) -> FramedSet:
     """Pairwise cell intersections framed by signed wedges."""
-    xf = x.framed if isinstance(x, EtvRep) else x
-    yf = y.framed if isinstance(y, EtvRep) else y
+    xf = _framed(x)
+    yf = _framed(y)
     n = xf.n
     k_out = xf.k + yf.k - 2 * n
     if k_out < n:
@@ -133,8 +133,8 @@ def generic_shift(x, y, seed: int = 0, budget: int = 40) -> ShiftCertificate:
 
     The points are (t, t^2, ..., t^{2n}) for t = seed+1, ..., seed+budget.
     """
-    xf = x.framed if isinstance(x, EtvRep) else x
-    yf = y.framed if isinstance(y, EtvRep) else y
+    xf = _framed(x)
+    yf = _framed(y)
     ambient = xf.ambient
     if transversal(xf, yf):
         return ShiftCertificate(tuple([_ZERO] * ambient), 0, True)
@@ -165,10 +165,19 @@ def _localize(framed: FramedSet, p) -> FramedSet:
     return FramedSet(framed.n, framed.k, cells)
 
 
+def _min_space(fan: FramedSet):
+    """Intersection of the tangent spaces of the support cells of a fan."""
+    out = None
+    for c in fan.support_cells():
+        rows = list(c.poly.tangent_basis)
+        out = rows if out is None else intersect_rowspaces(out, rows, fan.ambient)
+    return out or []
+
+
 def stable_support(x, y, seed: int = 0) -> list:
     """Stable cells of the expected dimension with their displacement frames."""
-    xf = x.framed if isinstance(x, EtvRep) else x
-    yf = y.framed if isinstance(y, EtvRep) else y
+    xf = _framed(x)
+    yf = _framed(y)
     n = xf.n
     k_out = xf.k + yf.k - 2 * n
     if k_out < 0:
@@ -190,15 +199,7 @@ def stable_support(x, y, seed: int = 0) -> list:
         p = cand.relint_point()
         k_fan = _localize(xf, p)
         l_fan = _localize(yf, p)
-        kmin = None
-        for c in k_fan.support_cells():
-            rows = list(c.poly.tangent_basis)
-            kmin = rows if kmin is None else intersect_rowspaces(kmin, rows, 2 * n)
-        lmin = None
-        for c in l_fan.support_cells():
-            rows = list(c.poly.tangent_basis)
-            lmin = rows if lmin is None else intersect_rowspaces(lmin, rows, 2 * n)
-        vmin = intersect_rowspaces(kmin or [], lmin or [], 2 * n)
+        vmin = intersect_rowspaces(_min_space(k_fan), _min_space(l_fan), 2 * n)
         if len(vmin) != k_out:
             continue
         shift = generic_shift(k_fan, l_fan, seed).shift

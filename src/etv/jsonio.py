@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exterior import Alt, OddForm
-from .framed import EtvRep, FramedCell, FramedSet, TestForm, canonicalize
+from .framed import EtvRep, FramedCell, FramedSet, TestForm, _framed, canonicalize
 from .monge import AffineFunc, PLFunction
 from .polyhedra import HPoly, VPolytope
 from .polynomials import Poly
@@ -23,6 +23,33 @@ class ParseError(ValueError):
     pass
 
 
+def _get(obj, key, *default):
+    """obj[key] for a JSON object; a missing key takes the default if one
+    is given."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"expected an object with {key!r}, got {type(obj).__name__}")
+    if key in obj:
+        return obj[key]
+    if default:
+        return default[0]
+    raise ParseError(f"missing {key!r}")
+
+
+def _list(obj, arity=None) -> list:
+    """A JSON array, of length `arity` when one is given."""
+    if not isinstance(obj, list) or arity not in (None, len(obj)):
+        want = "an array" if arity is None else f"an array of {arity}"
+        raise ParseError(f"expected {want}, got {obj!r}")
+    return obj
+
+
+def _int(obj) -> int:
+    try:
+        return int(obj)
+    except (ValueError, TypeError) as exc:
+        raise ParseError(f"bad integer {obj!r}") from exc
+
+
 def _rat(obj) -> Fraction:
     try:
         return Fraction(str(obj))
@@ -30,12 +57,19 @@ def _rat(obj) -> Fraction:
         raise ParseError(f"bad rational {obj!r}") from exc
 
 
+def _crat(obj) -> CRat:
+    try:
+        return crat_parse(obj)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad complex rational {obj!r}") from exc
+
+
 def vector_to_json(v):
     return [rat_str(x) for x in v]
 
 
 def vector_from_json(obj):
-    return tuple(_rat(x) for x in obj)
+    return tuple(_rat(x) for x in _list(obj))
 
 
 def cvector_to_json(w):
@@ -43,7 +77,7 @@ def cvector_to_json(w):
 
 
 def cvector_from_json(obj):
-    return tuple(crat_parse(c) for c in obj)
+    return tuple(_crat(c) for c in _list(obj))
 
 
 def form_to_json(form: Alt):
@@ -53,24 +87,20 @@ def form_to_json(form: Alt):
 
 
 def form_from_json(obj) -> Alt:
-    try:
-        degree = int(obj["degree"])
-        terms = {tuple(t["indices"]): crat_parse(t["value"])
-                 for t in obj.get("terms", [])}
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"bad form: {exc}") from exc
-    return Alt(degree, terms)
+    terms = {tuple(_int(i) for i in _list(_get(t, "indices"))): _crat(_get(t, "value"))
+             for t in _list(_get(obj, "terms", []))}
+    return Alt(_int(_get(obj, "degree")), terms)
 
 
 def _functional_to_json(coeffs, rhs):
     return {"coeffs": vector_to_json(coeffs), "const": rat_str(rhs)}
 
 
-def _functional_from_json(obj):
-    try:
-        return vector_from_json(obj["coeffs"]), _rat(obj["const"])
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"bad affine functional: {exc}") from exc
+def _functional_from_json(obj, ambient):
+    coeffs = vector_from_json(_get(obj, "coeffs"))
+    if len(coeffs) != ambient:
+        raise ParseError(f"{len(coeffs)} coefficients in ambient dimension {ambient}")
+    return coeffs, _rat(_get(obj, "const"))
 
 
 def hpoly_to_json(p: HPoly):
@@ -80,12 +110,9 @@ def hpoly_to_json(p: HPoly):
 
 
 def hpoly_from_json(obj) -> HPoly:
-    try:
-        ambient = int(obj["ambient"])
-    except (KeyError, TypeError) as exc:
-        raise ParseError("polyhedron needs an ambient dimension") from exc
-    eq = [_functional_from_json(e) for e in obj.get("eq", [])]
-    ineq = [_functional_from_json(e) for e in obj.get("ineq", [])]
+    ambient = _int(_get(obj, "ambient"))
+    eq = [_functional_from_json(e, ambient) for e in _list(_get(obj, "eq", []))]
+    ineq = [_functional_from_json(e, ambient) for e in _list(_get(obj, "ineq", []))]
     return HPoly(ambient, eq, ineq).canonical()
 
 
@@ -95,36 +122,33 @@ def polyhedralset_to_json(ps) -> dict:
 
 def polyhedralset_from_json(obj, k: int, ambient: int):
     from .polyhedra import PolyhedralSet
-    try:
-        cells = [hpoly_from_json(c) for c in obj["cells"]]
-    except (KeyError, TypeError) as exc:
-        raise ParseError("polyhedral set needs a cell list") from exc
+    cells = [hpoly_from_json(c) for c in _list(_get(obj, "cells"))]
     return PolyhedralSet.from_cells(k, ambient, cells)
 
 
 def vpolytope_to_json(v: VPolytope):
-    out = {"vertices": [vector_to_json(p) for p in v.vertices]}
-    if v.rays:
-        out["rays"] = [vector_to_json(r) for r in v.rays]
-    return out
+    return {"vertices": [vector_to_json(p) for p in v.vertices]}
 
 
-def vpolytope_from_json(obj) -> VPolytope:
-    try:
-        verts = [vector_from_json(p) for p in obj["vertices"]]
-    except (KeyError, TypeError) as exc:
-        raise ParseError("polytope needs a vertex list") from exc
+def points_from_json(obj):
+    """The vertex list of a polytope file, as given (not reduced to the
+    extreme points)."""
+    verts = [vector_from_json(p) for p in _list(_get(obj, "vertices"))]
     if not verts:
         raise ParseError("polytope needs at least one vertex")
     if len({len(v) for v in verts}) != 1:
         raise ParseError("vertices of mixed dimensions")
-    if obj.get("rays"):
+    if _get(obj, "rays", None):
         raise ParseError("unbounded input polytopes are not supported")
-    return VPolytope.from_points(verts)
+    return verts
+
+
+def vpolytope_from_json(obj) -> VPolytope:
+    return VPolytope.from_points(points_from_json(obj))
 
 
 def framedset_to_json(x) -> dict:
-    framed = x.framed if isinstance(x, EtvRep) else x
+    framed = _framed(x)
     cells = []
     for c in framed.cells:
         cells.append({"geom": hpoly_to_json(c.poly),
@@ -135,17 +159,16 @@ def framedset_to_json(x) -> dict:
 
 
 def framedset_from_json(obj) -> FramedSet:
-    try:
-        n = int(obj["n"])
-        k = int(obj["k"])
-    except (KeyError, TypeError) as exc:
-        raise ParseError("framed set needs n and k") from exc
+    n = _int(_get(obj, "n"))
+    k = _int(_get(obj, "k"))
     cells = []
-    for entry in obj.get("cells", []):
-        poly = hpoly_from_json(entry["geom"])
-        frame_obj = entry.get("frame", {})
-        form = form_from_json(frame_obj["form"])
-        basis = [vector_from_json(b) for b in frame_obj.get("basis", [])]
+    for entry in _list(_get(obj, "cells", [])):
+        poly = hpoly_from_json(_get(entry, "geom"))
+        if poly.ambient != 2 * n:
+            raise ParseError(f"cell of ambient dimension {poly.ambient} for n = {n}")
+        frame_obj = _get(entry, "frame", {})
+        form = form_from_json(_get(frame_obj, "form"))
+        basis = [vector_from_json(b) for b in _list(_get(frame_obj, "basis", []))]
         if basis and tuple(basis) != tuple(poly.tangent_basis):
             odd = OddForm(form=form, basis=tuple(basis))
             form = odd.transported(tuple(poly.tangent_basis)).form
@@ -162,10 +185,7 @@ def affine_to_json(f: AffineFunc):
 
 
 def affine_from_json(obj) -> AffineFunc:
-    try:
-        return AffineFunc(w=cvector_from_json(obj["w"]), c=_rat(obj["c"]))
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"bad affine function: {exc}") from exc
+    return AffineFunc(w=cvector_from_json(_get(obj, "w")), c=_rat(_get(obj, "c")))
 
 
 def plfunction_to_json(h: PLFunction):
@@ -175,12 +195,11 @@ def plfunction_to_json(h: PLFunction):
 
 
 def plfunction_from_json(obj) -> PLFunction:
-    try:
-        n = int(obj["n"])
-        plus = tuple(affine_from_json(f) for f in obj["plus"])
-    except (KeyError, TypeError) as exc:
-        raise ParseError("piecewise linear function needs n and plus") from exc
-    minus = tuple(affine_from_json(f) for f in obj.get("minus", []))
+    n = _int(_get(obj, "n"))
+    plus = tuple(affine_from_json(f) for f in _list(_get(obj, "plus")))
+    minus = tuple(affine_from_json(f) for f in _list(_get(obj, "minus", [])))
+    if any(len(f.w) != n for f in plus + minus):
+        raise ParseError(f"affine function of the wrong length for n = {n}")
     if not minus:
         from .monge import affine_zero
         minus = (affine_zero(n),)
@@ -191,28 +210,27 @@ def plfunction_from_json(obj) -> PLFunction:
 
 def poly_from_json(obj, nvars: int) -> Poly:
     terms = {}
-    for t in obj:
-        terms[tuple(t["exps"])] = _rat(t["coeff"])
+    for t in _list(obj):
+        terms[tuple(_int(e) for e in _list(_get(t, "exps"), nvars))] = _rat(_get(t, "coeff"))
     return Poly(nvars, terms)
 
 
 def testform_from_json(obj) -> TestForm:
-    try:
-        degree = int(obj["degree"])
-        window = tuple((_rat(lo), _rat(hi)) for lo, hi in obj["window"])
-    except (KeyError, TypeError) as exc:
-        raise ParseError("test form needs degree and window") from exc
+    degree = _int(_get(obj, "degree"))
+    window = tuple((_rat(lo), _rat(hi))
+                   for lo, hi in (_list(w, 2) for w in _list(_get(obj, "window"))))
     nv = len(window)
-    terms = tuple((tuple(t["indices"]), poly_from_json(t["poly"], nv))
-                  for t in obj.get("terms", []))
+    terms = tuple((tuple(_int(i) for i in _list(_get(t, "indices"))),
+                   poly_from_json(_get(t, "poly"), nv))
+                  for t in _list(_get(obj, "terms", [])))
     return TestForm(degree, terms, window)
 
 
 def family_from_json(obj):
     from .degeneracy import VectorFamily
-    try:
-        n = int(obj["n"])
-        sets = tuple(tuple(cvector_from_json(v) for v in s) for s in obj["sets"])
-    except (KeyError, TypeError) as exc:
-        raise ParseError("vector family needs n and sets") from exc
+    n = _int(_get(obj, "n"))
+    sets = tuple(tuple(cvector_from_json(v) for v in _list(s))
+                 for s in _list(_get(obj, "sets")))
+    if any(len(v) != n for s in sets for v in s):
+        raise ParseError(f"family vector of the wrong length for n = {n}")
     return VectorFamily(n=n, sets=sets)

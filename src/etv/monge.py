@@ -19,11 +19,11 @@ from itertools import combinations
 from math import factorial
 
 from .exterior import ccov_form, complexify, dc_ccov, wedge
-from .framed import (EtvRep, FramedCell, FramedSet, boundary, canonicalize,
-                     cell_weight, equivalent, translate, zero_etv)
+from .framed import (EtvRep, FramedCell, FramedSet, _framed, boundary,
+                     canonicalize, cell_weight, equivalent, translate, zero_etv)
 from .intersection import product_many
-from .linalg import basis_change_sign, det, rank, rref
-from .polyhedra import HPoly, VPolytope, triangulate_full_dim
+from .linalg import basis_change_sign, rref
+from .polyhedra import HPoly, VPolytope, volume
 from .scalars import CRat
 
 _ZERO = Fraction(0)
@@ -171,8 +171,6 @@ def corner_locus(h: PLFunction) -> EtvRep:
 
 def support_function(gamma: VPolytope) -> PLFunction:
     """max over the vertices of Re<z, vertex>, as a convex PL function."""
-    if gamma.rays:
-        raise ValueError("support function needs a bounded polytope")
     n = gamma.ambient // 2
     funcs = [AffineFunc(w=complexify(v), c=_ZERO) for v in gamma.vertices]
     return PLFunction.convex(n, funcs)
@@ -209,7 +207,7 @@ def dc_weighted(h: PLFunction, x) -> EtvRep:
     Requires h to be affine on every support cell; the result has cycle
     dimension one less and depends only on the class of the input.
     """
-    framed = x.framed if isinstance(x, EtvRep) else x
+    framed = _framed(x)
     n = framed.n
     if framed.k - 1 < n:
         raise ValueError("weighted boundary drops below the cycle range")
@@ -294,22 +292,6 @@ def _real_minkowski(a, b):
     return [tuple(x + y for x, y in zip(p, q)) for p in a for q in b]
 
 
-def _real_volume(points) -> Fraction:
-    pts = sorted(set(tuple(Fraction(x) for x in p) for p in points))
-    if not pts:
-        return _ZERO
-    d = len(pts[0])
-    diffs = [tuple(a - b for a, b in zip(p, pts[0])) for p in pts[1:]]
-    if rank(diffs) < d:
-        return _ZERO
-    total = _ZERO
-    for simplex in triangulate_full_dim(pts):
-        p0 = simplex[0]
-        mat = [[a - b for a, b in zip(p, p0)] for p in simplex[1:]]
-        total += abs(det(mat))
-    return total / factorial(d)
-
-
 def mixed_volume_oracle(*bodies) -> Fraction:
     """Polarization of the volume: independent of the cycle machinery.
 
@@ -325,7 +307,7 @@ def mixed_volume_oracle(*bodies) -> Fraction:
             pts = [tuple(Fraction(x) for x in p) for p in bodies[subset[0]]]
             for i in subset[1:]:
                 pts = _real_minkowski(pts, bodies[i])
-            total += (-1) ** (n - r) * _real_volume(pts)
+            total += (-1) ** (n - r) * volume(pts)
     return total / factorial(n)
 
 

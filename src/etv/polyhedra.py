@@ -5,6 +5,14 @@ refinements and localizations are all constraint surgery plus exact LP.
 V-polytopes represent the input polytopes in the dual space, where face
 enumeration and volume multivectors are needed.
 
+Point sets get one hull each: `_hull_facets` runs once, in the chart of
+`_chart`, and faces, triangulations and volumes come from its facet
+incidence sets.  Every face is an intersection of the facets containing it
+(Ziegler, Lectures on Polytopes, 2.3), so the facets of a face are its
+maximal cuts by the hull facets (`_facet_cuts`); `face_vertex_sets` walks
+the lattice down by these cuts, `triangulate` pulls each face from its
+least point over the cuts that miss it, and `volume` sums the simplices.
+
 Canonicalization contract: a canonical HPoly has its affine hull expressed
 as an rref equality system, no implicit equalities hiding among the
 inequalities, no redundant inequalities, and primitive integer constraint
@@ -40,9 +48,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
-from .linalg import (coords_in_basis, det, kernel_basis, rank, rref,
-                     scale_primitive, solve)
+from .linalg import det, kernel_basis, rank, rref, scale_primitive, solve
 from .lp import OPTIMAL, UNBOUNDED, solve_lp
 
 _ZERO = Fraction(0)
@@ -91,19 +99,11 @@ class HPoly:
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
-    def whole_space(ambient: int) -> "HPoly":
-        return HPoly(ambient).canonical()
-
-    @staticmethod
     def empty(ambient: int) -> "HPoly":
         p = HPoly(ambient)
         p._empty = True
         p._canonical = True
         return p
-
-    @staticmethod
-    def from_equalities(ambient: int, eqs) -> "HPoly":
-        return HPoly(ambient, eq=eqs).canonical()
 
     def intersect(self, other: "HPoly") -> "HPoly":
         if self.ambient != other.ambient:
@@ -468,7 +468,6 @@ def extreme_points(points):
 class VPolytope:
     """Bounded rational polytope given by its vertex list (minimal)."""
     vertices: tuple
-    rays: tuple = ()
 
     @staticmethod
     def from_points(points) -> "VPolytope":
@@ -480,9 +479,7 @@ class VPolytope:
 
     @property
     def tangent_basis(self):
-        v0 = self.vertices[0]
-        diffs = [tuple(a - b for a, b in zip(v, v0)) for v in self.vertices[1:]]
-        return rref(diffs)[0] if diffs else []
+        return _chart(self.vertices)[0]
 
     @property
     def dim(self) -> int:
@@ -500,51 +497,16 @@ class VPolytope:
     def scale(self, t) -> "VPolytope":
         return VPolytope(vertices=tuple(tuple(t * x for x in v) for v in self.vertices))
 
-    def _intrinsic(self):
-        """Vertex coordinates in the tangent basis (full-dimensional chart)."""
-        basis = self.tangent_basis
-        v0 = self.vertices[0]
-        coords = []
-        for v in self.vertices:
-            diff = tuple(a - b for a, b in zip(v, v0))
-            c = coords_in_basis(list(basis), diff) if basis else ()
-            coords.append(tuple(c))
-        return coords, v0, basis
-
     def face_vertex_sets(self):
-        """Vertex index sets of all faces, keyed by dimension."""
-        coords, _, _ = self._intrinsic()
-        d = self.dim
-        lattice: dict[int, set] = {d: {frozenset(range(len(self.vertices)))}}
-        memo = {}
-
-        def facets_of(idx_set):
-            key = frozenset(idx_set)
-            if key in memo:
-                return memo[key]
-            idx = sorted(idx_set)
-            pts = [coords[i] for i in idx]
-            # local chart for the face
-            p0 = pts[0]
-            diffs = [tuple(a - b for a, b in zip(p, p0)) for p in pts[1:]]
-            basis = rref(diffs)[0] if diffs else []
-            local = []
-            for p in pts:
-                diff = tuple(a - b for a, b in zip(p, p0))
-                local.append(tuple(coords_in_basis(list(basis), diff)) if basis else ())
-            out = _hull_facet_vertex_sets(local)
-            result = [frozenset(idx[i] for i in f) for f in out]
-            memo[key] = result
-            return result
-
-        cur = d
-        while cur > 0:
-            nxt = set()
-            for fset in lattice.get(cur, ()):  # faces of dimension cur
-                for sub in facets_of(fset):
-                    nxt.add(sub)
-            cur -= 1
-            lattice[cur] = nxt
+        """Vertex index sets of all faces, keyed by dimension, from the top
+        face down by facet cuts of one hull."""
+        basis, _, coords = _chart(self.vertices)
+        facets = [tight for _, _, tight in _hull_facets(coords)]
+        d = len(basis)
+        lattice = {d: {frozenset(range(len(self.vertices)))}}
+        for cur in range(d, 0, -1):
+            lattice[cur - 1] = {sub for face in lattice[cur]
+                                for sub in _facet_cuts(face, facets)}
         return lattice
 
     def faces(self, m: int):
@@ -558,37 +520,48 @@ class VPolytope:
         return out
 
     def to_hpoly(self) -> HPoly:
-        """Convex hull in H-form: affine hull equalities plus facet cuts."""
+        """Convex hull in H-form: affine hull equalities plus facet cuts.
+
+        Chart coordinates are ambient coordinates (the pivot columns), so a
+        facet normal of the chart is an ambient row that is zero elsewhere.
+        """
         ambient = self.ambient
+        basis, pivots, coords = _chart(self.vertices)
         v0 = self.vertices[0]
-        basis = self.tangent_basis
-        eq_rows = kernel_basis([list(b) for b in basis], ambient) if basis else \
-            [tuple(_ONE if j == i else _ZERO for j in range(ambient)) for i in range(ambient)]
-        eqs = []
-        for a in eq_rows:
-            eqs.append((a, sum(x * y for x, y in zip(a, v0))))
-        coords, _, _ = self._intrinsic()
+        eqs = [(a, sum(x * y for x, y in zip(a, v0))) for a in kernel_basis(basis, ambient)]
         ineqs = []
         for normal, offset, _tight in _hull_facets(coords):
-            # lift the facet normal from the chart to ambient coordinates
-            amb = [_ZERO] * ambient
-            for c, bvec in zip(normal, basis):
-                amb = [a + c * x for a, x in zip(amb, bvec)]
-            rhs = offset + sum(x * y for x, y in zip(amb, v0))
-            ineqs.append((tuple(amb), rhs))
+            row = [_ZERO] * ambient
+            for j, c in zip(pivots, normal):
+                row[j] = c
+            ineqs.append((tuple(row), offset))
         return HPoly(ambient, eqs, ineqs).canonical()
 
     def volume(self) -> Fraction:
         """Volume in the tangent-basis chart (full-dimensional measure)."""
-        coords, _, _ = self._intrinsic()
-        return _volume_of_full_dim(coords)
+        return volume(_chart(self.vertices)[2])
 
     def contains_point(self, p) -> bool:
         return self.to_hpoly().contains_point(p)
 
 
+def _chart(points):
+    """(basis, pivots, coordinates) of the affine hull of the points.
+
+    The basis is the rref basis of the differences and the coordinates of a
+    point are its entries at the pivot columns.  An rref basis is the identity
+    at its pivots, so the difference of two points has coordinates in the
+    basis equal to its pivot entries: the chart is the tangent-basis chart up
+    to a translation, full-dimensional and without a solve.
+    """
+    p0 = points[0]
+    basis, pivots = rref([tuple(a - b for a, b in zip(p, p0)) for p in points[1:]])
+    return basis, pivots, [tuple(p[j] for j in pivots) for p in points]
+
+
 def _hull_facets(points):
-    """Facets of a full-dimensional point configuration.
+    """Facets of a full-dimensional point configuration: the one hull
+    computation of this module.
 
     Returns (normal, offset, tight index set) triples with normal . x <=
     offset valid for all points and equality exactly on the tight set.
@@ -629,85 +602,51 @@ def _hull_facets(points):
     return list(out.values())
 
 
-def _hull_facet_vertex_sets(points):
-    d = rank([tuple(a - b for a, b in zip(p, points[0])) for p in points[1:]])
-    if d == 0:
-        return []
-    return [tight for _, _, tight in _hull_facets(points)]
+def _facet_cuts(face, facets):
+    """Facets of a face, as point index sets: the maximal nonempty cuts
+    `face & g` by the hull facets g that do not contain the face.
+
+    Each facet F' of the face is the intersection of the hull facets that
+    contain it (Ziegler, Lectures on Polytopes, 2.3), and one of those, g,
+    misses the face, so `face & g` is a proper face containing F', which is
+    F'; every other cut is a proper face too, so it lies in some facet.
+    """
+    cuts = {face & g for g in facets if not face <= g}
+    cuts.discard(frozenset())
+    return [c for c in cuts if not any(c < other for other in cuts)]
 
 
-def _volume_of_full_dim(points) -> Fraction:
-    d = len(points[0]) if points else 0
-    if d == 0:
-        return Fraction(1)
-    total = Fraction(0)
-    for simplex in triangulate_full_dim(points):
-        p0 = simplex[0]
-        mat = [[a - b for a, b in zip(p, p0)] for p in simplex[1:]]
-        total += abs(det(mat))
-    import math
-    return total / math.factorial(d)
+def triangulate(points):
+    """Pulling triangulation of conv(points), for points in any affine subspace.
 
-
-def triangulate_full_dim(points):
-    """Simplices (as vertex tuples) covering conv(points), full-dim chart."""
+    Simplices are tuples of the points, each of the hull's dimension.  Each
+    face is joined from its least point, always a vertex, to the
+    triangulations of its facets that miss that point.
+    """
     pts = sorted(set(tuple(p) for p in points))
-    d = len(pts[0]) if pts else 0
-    if d == 0:
-        return [tuple(pts)]
-    diffs = [tuple(a - b for a, b in zip(p, pts[0])) for p in pts[1:]]
-    intrinsic_dim = rank(diffs)
-    if intrinsic_dim < d:
+    if not pts:
         return []
-    apex = pts[0]
-    simplices = []
-    for nvec, offset, tight in _hull_facets(pts):
-        if sum(x * y for x, y in zip(nvec, apex)) == offset:
-            continue  # apex on this facet, cone is flat
-        face_pts = [pts[i] for i in sorted(tight)]
-        # chart for the facet
-        q0 = face_pts[0]
-        fdiffs = [tuple(a - b for a, b in zip(p, q0)) for p in face_pts[1:]]
-        fbasis = rref(fdiffs)[0]
-        local = []
-        for p in face_pts:
-            diff = tuple(a - b for a, b in zip(p, q0))
-            local.append(tuple(coords_in_basis(list(fbasis), diff)))
-        for sub in triangulate_full_dim(local):
-            lifted = []
-            for lp_ in sub:
-                pt = list(q0)
-                for c, bvec in zip(lp_, fbasis):
-                    pt = [a + c * x for a, x in zip(pt, bvec)]
-                lifted.append(tuple(pt))
-            simplices.append(tuple([apex] + lifted))
-    return simplices
+    facets = [tight for _, _, tight in _hull_facets(_chart(pts)[2])]
+
+    def pull(face):
+        apex = min(face)  # the points are sorted, so this is the least one
+        if len(face) == 1:
+            return [(apex,)]
+        return [(apex,) + rest for sub in _facet_cuts(face, facets)
+                if apex not in sub for rest in pull(sub)]
+
+    return [tuple(pts[i] for i in s) for s in pull(frozenset(range(len(pts))))]
 
 
-def triangulate_cell(cell: HPoly):
-    """Simplices covering a bounded cell, in ambient coordinates."""
-    verts = cell.vertices()
-    if not verts:
-        return []
-    d = cell.dim
-    if d == 0:
-        return [tuple(verts)]
-    basis = cell.tangent_basis
-    v0 = verts[0]
-    local = []
-    for v in verts:
-        diff = tuple(a - b for a, b in zip(v, v0))
-        local.append(tuple(coords_in_basis(list(basis), diff)))
-    out = []
-    for simplex in triangulate_full_dim(local):
-        lifted = []
-        for lp_ in simplex:
-            pt = list(v0)
-            for c, bvec in zip(lp_, basis):
-                pt = [a + c * x for a, x in zip(pt, bvec)]
-            lifted.append(tuple(pt))
-        out.append(tuple(lifted))
-    return out
+def volume(points) -> Fraction:
+    """Volume of conv(points) in their ambient space, zero when the points
+    span a lower-dimensional affine subspace."""
+    simplices = triangulate(points)
+    if not simplices or len(simplices[0]) != len(simplices[0][0]) + 1:
+        return _ZERO
+    total = sum(abs(det([[a - b for a, b in zip(p, s[0])] for p in s[1:]]))
+                for s in simplices)
+    return total / factorial(len(simplices[0]) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -718,23 +657,21 @@ def volume_multivector(face: VPolytope, basis):
 
     `basis` is the orientation token: an ordered basis of the face tangent
     space.  The result is basis-chart volume times the basis blade, as an
-    ambient multivector.
+    ambient multivector.  The basis is M times the rref basis of the face,
+    with M its entries at the pivot columns, so the volume in its chart is
+    the `_chart` volume over |det M|; a basis larger than the face sees
+    volume zero.
     """
     from .exterior import Alt, wedge_all
-    if face.rays:
-        raise ValueError("volume multivector needs a bounded face")
     m = len(basis)
     if m == 0:
         return Alt.scalar(_ONE)
-    v0 = face.vertices[0]
-    coords = []
-    for v in face.vertices:
-        diff = tuple(a - b for a, b in zip(v, v0))
-        c = coords_in_basis(list(basis), diff)
-        if c is None:
-            raise ValueError("orientation token does not span the face")
-        coords.append(tuple(c))
-    vol = _volume_of_full_dim(coords)
+    rows, pivots, coords = _chart(face.vertices)
+    if rank(list(basis) + rows) > rank(basis):
+        raise ValueError("orientation token does not span the face")
+    vol = _ZERO
+    if len(rows) == m:
+        vol = volume(coords) / abs(det([[b[j] for j in pivots] for b in basis]))
     blade = wedge_all([Alt(1, {(i,): x for i, x in enumerate(b) if x != 0})
                        for b in basis])
     return blade.scale(vol)
@@ -769,11 +706,10 @@ def dual_cone(gamma: VPolytope, delta: VPolytope) -> HPoly:
 
 @dataclass
 class PolyhedralSet:
-    """Finite k-dimensional complex: top cells plus derived skeleton."""
+    """Finite k-dimensional complex given by its top cells."""
     k: int
     ambient: int
     cells: list = field(default_factory=list)
-    _skeleton: dict | None = None
 
     @staticmethod
     def from_cells(k: int, ambient: int, cells, validate=False) -> "PolyhedralSet":
@@ -803,25 +739,6 @@ class PolyhedralSet:
                     if face.key != inter.key:
                         raise ValueError("cells do not intersect in a common face")
 
-    def skeleton_with_incidence(self):
-        """(k-1)-faces of the top cells with the adjacency map."""
-        if self._skeleton is None:
-            faces: dict = {}
-            for ci, cell in enumerate(self.cells):
-                for f, normal in cell.facets_with_normals():
-                    entry = faces.setdefault(f.key, (f, []))
-                    entry[1].append((ci, normal))
-            self._skeleton = faces
-        return self._skeleton
-
-    def support_contains(self, p) -> bool:
-        return any(c.contains_point(p) for c in self.cells)
-
-
-def hyperplane_key(coeffs, rhs):
-    vec = scale_primitive(tuple(coeffs) + (rhs,), lead_positive=True)
-    return vec[:-1], vec[-1]
-
 
 def hyperplanes_of_cells(cells):
     """Canonical hyperplanes carrying all constraints of the given cells."""
@@ -829,7 +746,7 @@ def hyperplanes_of_cells(cells):
     for cell in cells:
         for a, b in cell.eq + cell.ineq:
             if any(x != 0 for x in a):
-                seen.setdefault(hyperplane_key(a, b), None)
+                seen.setdefault(_prim_eq(a, b), None)
     return list(seen.keys())
 
 
@@ -840,14 +757,14 @@ def split_by_hyperplanes(cell: HPoly, hyperplanes):
     exactly the set of arrangement walls meeting the cell's interior.
     """
     def walls(piece):
-        return {hyperplane_key(a, b) for a, b in piece.eq + piece.ineq}
+        return {_prim_eq(a, b) for a, b in piece.eq + piece.ineq}
 
     start = cell.canonical()
     if start.is_empty():
         return []
     pieces = [(start, walls(start))]
     for a, b in hyperplanes:
-        wall = hyperplane_key(a, b)
+        wall = _prim_eq(a, b)
         nxt = []
         for piece, own in pieces:
             if wall not in own:  # a piece never straddles its own walls

@@ -83,14 +83,8 @@ class CRat:
     def __neg__(self):
         return CRat(-self.re, -self.im)
 
-    def conj(self):
-        return CRat(self.re, -self.im)
-
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
-
-    def is_real(self) -> bool:
-        return self.im == 0
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

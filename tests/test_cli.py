@@ -116,6 +116,24 @@ class TestCommands:
         code, out = run(capsys, "validate-etp", str(p))
         assert code == 2 and out["status"] == "parse-error"
 
+    @pytest.mark.parametrize("command, cycle, form", [
+        ("validate-etp", {"n": 1, "k": 1, "cells": [{"frame": {"form": {"degree": 1}}}]},
+         None),
+        ("eval-current", None, {"degree": 0, "window": [["-1", "1"], ["-1", "1"]],
+                                "terms": [{"indices": [], "poly": [{"coeff": "1"}]}]}),
+        ("eval-current", None, {"degree": 0, "window": [["0"]], "terms": []}),
+    ], ids=["cell-without-geom", "poly-term-without-exps", "window-entry-of-one"])
+    def test_malformed_input_is_a_parse_error(self, capsys, tmp_path, square_file,
+                                              command, cycle, form):
+        if cycle is None:
+            code, fan_out = run(capsys, "dual-fan", "--polytope", square_file, "--k", "1")
+            cycle = fan_out["result"]
+        args = [write(tmp_path, "cycle.json", cycle)]
+        if form is not None:
+            args.append(write(tmp_path, "form.json", form))
+        code, out = run(capsys, command, *args)
+        assert code == 2 and out["status"] == "parse-error"
+
     def test_resource_cap_exit_code(self, capsys, tmp_path, monkeypatch, square_file):
         monkeypatch.setenv("ETV_MAX_CELLS", "0")
         code, fan_out = run(capsys, "dual-fan", "--polytope", square_file, "--k", "1")
@@ -265,3 +283,18 @@ class TestPolyhedralSetJson:
         blob = polyhedralset_to_json(ps)
         back = polyhedralset_from_json(blob, 1, 2)
         assert polyhedralset_to_json(back) == blob
+
+
+@pytest.mark.parametrize("reader, obj", [
+    (jsonio.hpoly_from_json, {"ambient": 2, "ineq": [{"coeffs": ["1"], "const": "0"}]}),
+    (jsonio.plfunction_from_json, {"n": 2, "plus": [{"w": ["1"], "c": "0"}]}),
+    (jsonio.framedset_from_json, {"n": 2, "k": 2, "cells": [
+        {"geom": {"ambient": 2}, "frame": {"form": {"degree": 2}}}]}),
+    (jsonio.form_from_json, {"degree": "one"}),
+    (jsonio.vpolytope_from_json, {"vertices": "01"}),
+    (jsonio.family_from_json, {"n": 2, "sets": [[["1"]], [["1", "0"]]]}),
+], ids=["row-length", "covector-length", "cell-ambient", "degree-type", "vertices-type",
+        "family-vector-length"])
+def test_reader_rejects_wrong_arity_and_types(reader, obj):
+    with pytest.raises(jsonio.ParseError):
+        reader(obj)

@@ -208,8 +208,8 @@ class TestMixedVolume:
 
 
 def _area(points2):
-    from etv.monge import _real_volume
-    return _real_volume(points2)
+    from etv.polyhedra import volume
+    return volume(points2)
 
 
 class TestRGenerated:

@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 from itertools import combinations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +10,11 @@ import etv.polyhedra as polyhedra
 from etv.dualfan import dual_fan_etp, valid_k_range
 from etv.exterior import Alt
 from etv.monge import linearity_complex, support_function
+import hull_reference as ref
+from etv.linalg import coords_in_basis, det, rank
 from etv.polyhedra import (HPoly, PolyhedralSet, VPolytope, common_refinement,
                            dual_cone, hyperplanes_of_cells, split_by_hyperplanes,
-                           triangulate_cell, volume_multivector)
+                           triangulate, volume, volume_multivector)
 from lattice_cells import coord, normal, plane_cell, planes, region
 
 
@@ -259,12 +262,11 @@ class TestLocalization:
 class TestTriangulateCell:
     def test_square_volume(self):
         sq = square2d().to_hpoly()
-        simplices = triangulate_cell(sq)
+        simplices = triangulate(sq.vertices())
         total = F(0)
         for s in simplices:
             v0 = s[0]
             mat = [[a - b for a, b in zip(v, v0)] for v in s[1:]]
-            from etv.linalg import det
             total += abs(det(mat)) / 2
         assert total == 1
 
@@ -512,3 +514,119 @@ class TestFacetsFromHull:
         # the polygon's 6 edges see 4 side rows each (the opposite edge is
         # parallel); each 2-cone edge sees the other ray's row; rays see none
         assert hexagon_lps == 6 * 4 + 6 * 2
+
+
+# ---------------------------------------------------------------------------
+# one hull per point set against a new chart and hull per face
+
+def _other_basis(basis):
+    """Another basis of the same space: the first vector times -2, every
+    later one plus its predecessor (determinant -2)."""
+    out = [tuple(-2 * x for x in basis[0])]
+    out += [tuple(a + b for a, b in zip(basis[i], basis[i - 1]))
+            for i in range(1, len(basis))]
+    return out
+
+
+def _chart_volume(simplex, origin, basis):
+    """Volume of a simplex in the chart of `basis`."""
+    coords = [coords_in_basis(basis, tuple(a - b for a, b in zip(p, origin)))
+              for p in simplex]
+    return abs(det([[a - b for a, b in zip(c, coords[0])] for c in coords[1:]])) / \
+        factorial(len(basis))
+
+
+def _assert_triangulates(points):
+    """The simplices are points of the set, of the hull's dimension, and
+    their chart volumes add up to the reference hull volume."""
+    pts = sorted(set(points))
+    coords, origin, basis = ref.chart(pts)
+    simplices = triangulate(points)
+    assert simplices and all(set(s) <= set(pts) for s in simplices)
+    for s in simplices:
+        assert len(s) == len(basis) + 1
+        assert rank([tuple(a - b for a, b in zip(p, s[0])) for p in s[1:]]) == len(basis)
+    total = sum((_chart_volume(s, origin, basis) for s in simplices), F(0)) if basis \
+        else F(1)
+    assert total == ref.volume_of_full_dim(coords)
+    return total
+
+
+def _assert_matches_reference(points):
+    """Lattice, volume, volume multivectors and triangulation of the point
+    list (repeats and non-vertices allowed) against the reference."""
+    poly = VPolytope(vertices=tuple(points))
+    assert poly.face_vertex_sets() == ref.face_vertex_sets(list(points))
+    assert poly.volume() == ref.volume_of_full_dim(ref.chart(list(points))[0])
+    basis = list(poly.tangent_basis)
+    assert volume_multivector(poly, basis) == ref.volume_multivector(poly, basis)
+    if basis:
+        other = _other_basis(basis)
+        assert volume_multivector(poly, other) == ref.volume_multivector(poly, other)
+    total = _assert_triangulates(points)
+    assert volume(points) == (total if len(basis) == len(points[0]) else 0)
+
+
+@st.composite
+def point_sets(draw):
+    """Up to 7 lattice points in R^2-R^4 on an affine image of Z^k, k <= d,
+    so flat sets are common, with repeats and non-vertices."""
+    d = draw(st.integers(2, 4))
+    k = draw(st.integers(0, d))
+    image = [draw(st.tuples(*[small] * d)) for _ in range(k)]
+    shift = draw(st.tuples(*[small] * d))
+    pts = []
+    for c in draw(st.lists(st.tuples(*[small] * k), min_size=1, max_size=6)):
+        pts.append(tuple(F(s + sum(ci * v[j] for ci, v in zip(c, image)))
+                         for j, s in enumerate(shift)))
+    return pts + draw(st.lists(st.sampled_from(pts), max_size=1))
+
+
+class TestOneHullPerPointSet:
+    def test_corpus_faces_match_reference(self, polytope_corpus):
+        compared = 0
+        for _, gamma in polytope_corpus:
+            for m in range(gamma.dim + 1):
+                for face in gamma.faces(m):
+                    _assert_matches_reference(list(face.vertices))
+                    compared += 1
+        assert compared >= 150
+
+    def test_corpus_cells_triangulate_like_reference(self, polytope_corpus):
+        for _, gamma in polytope_corpus:
+            for m in range(gamma.dim + 1):
+                for face in gamma.faces(m):
+                    cell = face.to_hpoly()
+                    basis = list(cell.tangent_basis)
+                    if not basis:
+                        continue
+                    origin = cell.vertices()[0]
+
+                    def total(simplices):
+                        return sum(_chart_volume(s, origin, basis) for s in simplices)
+                    assert total(triangulate(cell.vertices())) == \
+                        total(ref.triangulate_cell(cell)) > 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(points=point_sets())
+    def test_point_sets_match_reference(self, points):
+        _assert_matches_reference(points)
+
+    def test_one_hull_per_call(self, monkeypatch):
+        calls = [0]
+        hull = polyhedra._hull_facets
+
+        def counting(points):
+            calls[0] += 1
+            return hull(points)
+
+        monkeypatch.setattr(polyhedra, "_hull_facets", counting)
+        cube = [pt(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+        flat = [pt(a, b, a + b, 1) for a in (0, 1, 2) for b in (0, 1)]
+        for points in (cube, flat):
+            calls[0] = 0
+            VPolytope(vertices=tuple(points)).face_vertex_sets()
+            assert calls[0] == 1
+            calls[0] = 0
+            triangulate(points)
+            assert calls[0] == 1
