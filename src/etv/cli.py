@@ -21,7 +21,8 @@ from . import jsonio
 from .degeneracy import (degeneracy_witness, is_nondegenerate,
                          mixed_volume_zero_criterion)
 from .dualfan import dual_fan_etp
-from .framed import add, boundary, canonicalize, equivalent, evaluate_current, is_etp
+from .framed import (_framed, add, boundary, canonicalize, equivalent,
+                     evaluate_current, is_etp)
 from .intersection import bergman_fan, product, stable_support
 from .jsonio import ParseError
 from .monge import (corner_locus, dc_weighted, mixed_ma, mixed_volume_oracle,
@@ -65,18 +66,17 @@ def _load(path):
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _guard_cells(framed):
-    count = len(framed.cells() if hasattr(framed, "cells") else framed.cells)
+def _guard_cells(x):
+    """Pass x (a FramedSet or an EtvRep) through unless it has more than
+    ETV_MAX_CELLS cells."""
+    count = len(_framed(x).cells)
     if count > _max_cells():
         raise ResourceCap(f"cell count {count} exceeds ETV_MAX_CELLS")
-    return framed
+    return x
 
 
 def _load_etv(path, validate=True):
-    obj = _load(path)
-    framed = jsonio.framedset_from_json(obj)
-    if len(framed.cells) > _max_cells():
-        raise ResourceCap(f"cell count {len(framed.cells)} exceeds ETV_MAX_CELLS")
+    framed = _guard_cells(jsonio.framedset_from_json(_load(path)))
     return canonicalize(framed, validate=validate)
 
 

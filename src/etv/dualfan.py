@@ -1,7 +1,7 @@
 """Homogeneous cycles from convex polytopes in the dual space.
 
 For a bounded rational polytope in the dual space, the fan of dual cones
-of its m-faces carries frames (-i)^m rho(p_face), где p_face is the odd
+of its m-faces carries frames (-i)^m rho(p_face), where p_face is the odd
 volume multivector of the face.  The sign of each frame is coordinated
 through the nondegenerate pairing Im<z, z*> between the cone's quotient
 space and the face tangent space: the frame is stored at the cell

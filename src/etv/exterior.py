@@ -98,22 +98,6 @@ class Alt:
         return f"Alt{self.degree}(" + " + ".join(parts) + ")"
 
 
-def _sort_key(key: tuple):
-    """Sort an index tuple; returns (sorted tuple, permutation sign)."""
-    items = list(key)
-    sign = 1
-    for i in range(1, len(items)):
-        j = i
-        while j > 0 and items[j - 1] > items[j]:
-            items[j - 1], items[j] = items[j], items[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(items, items[1:]):
-        if a == b:
-            return None, 0
-    return tuple(items), sign
-
-
 def _merge_keys(a: tuple, b: tuple):
     """Merge two increasing tuples; returns (merged, shuffle sign) or (None, 0)."""
     merged = []

@@ -8,7 +8,15 @@ subspace, degenerate cells carry zero frames, and the boundary cancels.
 
 Because canonical tangent bases depend only on the direction space of a
 cell, refining or translating cells never changes the reference
-orientation, so frames can be compared and summed directly.
+orientation, so frames can be compared and summed directly.  `_sum_cells`
+is the one place they are: it sums the frames of (canonical cell, frame)
+pairs per cell key.  Boundaries sum facet frames, sums and classes of
+cycles sum the frames of the pieces of the common refinement (each piece
+inherits the frame of the cell it was cut from, so no point location is
+needed), transversal intersections sum signed wedges, recession fans sum
+the frames of the cones cut into pieces, `canonicalize` sums repeated
+cells, and the corner locus of a PL function is the boundary of its
+linearity tiling with each cell framed by d^c of the function there.
 """
 
 from __future__ import annotations
@@ -19,9 +27,10 @@ from itertools import combinations
 
 from .exterior import (Alt, evaluate_cform, max_complex_subspace,
                        quotient_pushforward, restrict)
-from .linalg import basis_change_sign, kernel_basis
+from .linalg import basis_change_sign, det, kernel_basis
 from .lp import OPTIMAL, solve_lp
-from .polyhedra import HPoly, PolyhedralSet, common_refinement, triangulate
+from .polyhedra import (HPoly, PolyhedralSet, common_refinement, face_to_face,
+                        triangulate)
 from .polynomials import Poly
 from .scalars import CRat
 
@@ -61,12 +70,6 @@ class FramedSet:
     def support_cells(self):
         return [c for c in self.cells if not c.frame.is_zero()]
 
-    def frame_at(self, p) -> Alt:
-        for c in self.cells:
-            if not c.frame.is_zero() and c.poly.contains_point(p):
-                return c.frame
-        return Alt(2 * self.n - self.k)
-
     def translated(self, vec) -> "FramedSet":
         return FramedSet(self.n, self.k, [c.translated(vec) for c in self.cells])
 
@@ -85,7 +88,9 @@ def induced_facet_sign(cell: HPoly, facet: HPoly, ineq) -> int:
     """Outward-first induced orientation of the facet vs its canonical basis.
 
     +1 when (outward vector, canonical facet basis) matches the cell's
-    canonical orientation.
+    canonical orientation.  The cell's basis is in rref, so the coordinates
+    of a vector of its direction space are the vector's entries at the
+    pivot columns, and the sign is that of one determinant.
     """
     a, _ = ineq
     outward = None
@@ -96,27 +101,28 @@ def induced_facet_sign(cell: HPoly, facet: HPoly, ineq) -> int:
             break
     if outward is None:
         raise ValueError("inequality does not cut the cell's tangent space")
-    frm = [outward] + list(facet.tangent_basis)
-    return basis_change_sign(frm, list(cell.tangent_basis))
+    pivots = [next(j for j, x in enumerate(v) if x != 0) for v in cell.tangent_basis]
+    coords = [[v[j] for j in pivots] for v in [outward, *facet.tangent_basis]]
+    return 1 if det(coords) > 0 else -1
+
+
+def _sum_cells(n: int, k: int, pairs) -> FramedSet:
+    """The framed set of (canonical cell, frame) pairs, frames summed per cell.
+
+    Sums of zero stay as zero-framed cells; `canonicalize` drops them.
+    """
+    acc: dict = {}
+    for poly, frame in pairs:
+        cur = acc.get(poly.key)
+        acc[poly.key] = (poly, frame) if cur is None else (cur[0], cur[1] + frame)
+    return FramedSet(n, k, [FramedCell(poly, frame) for poly, frame in acc.values()])
 
 
 def boundary(x: FramedSet) -> FramedSet:
     """Frames of facets summed with outward-first induced orientations."""
-    acc: dict = {}
-    for c in x.cells:
-        if c.frame.is_zero():
-            continue
-        for facet, ineq in c.poly.facets_with_normals():
-            s = induced_facet_sign(c.poly, facet, ineq)
-            add = c.frame if s > 0 else -c.frame
-            if facet.key in acc:
-                poly, cur = acc[facet.key]
-                acc[facet.key] = (poly, cur + add)
-            else:
-                acc[facet.key] = (facet, add)
-    cells = [FramedCell(poly, frame) for poly, frame in acc.values()]
-    out = FramedSet(x.n, x.k - 1, cells)
-    return out
+    return _sum_cells(x.n, x.k - 1, (
+        (facet, c.frame if induced_facet_sign(c.poly, facet, ineq) > 0 else -c.frame)
+        for c in x.support_cells() for facet, ineq in c.poly.facets_with_normals()))
 
 
 def is_closed(x: FramedSet) -> bool:
@@ -289,20 +295,14 @@ def _mergeable(a: FramedCell, b: FramedCell, others, ambient):
             if res.value > 0:
                 return None
     # merging must not break the face-to-face property with the rest
-    for o in others:
-        inter = merged.intersect(o.poly).canonical()
-        if inter.is_empty():
-            continue
-        q = inter.relint_point()
-        if merged.smallest_face_at(q).key != inter.key:
-            return None
-        if o.poly.smallest_face_at(q).key != inter.key:
-            return None
+    if not all(face_to_face(merged, o.poly) for o in others):
+        return None
     return merged
 
 
 def canonicalize(x, validate=True) -> EtvRep:
-    """Drop zero frames and greedily merge coplanar equal-framed neighbors.
+    """Sum the frames of repeated cells, drop zero frames and greedily merge
+    coplanar equal-framed neighbors.
 
     Two cells merge when they have the same affine hull and the same frame,
     their envelope (the rows of each that hold on the other) is exactly their
@@ -315,7 +315,7 @@ def canonicalize(x, validate=True) -> EtvRep:
         report = is_etp(x)
         if not report.ok:
             raise ValueError(f"not a valid cycle: {report.witness}")
-    cells = [c for c in x.cells if not c.frame.is_zero()]
+    cells = _sum_cells(x.n, x.k, ((c.poly, c.frame) for c in x.cells)).support_cells()
     changed = True
     while changed:
         changed = False
@@ -340,6 +340,16 @@ def zero_etv(n: int, k: int) -> EtvRep:
 # ---------------------------------------------------------------------------
 # group structure
 
+def _refined(x: FramedSet, y: FramedSet):
+    """(piece, frame) pairs of the support cells of x and of y, cut into the
+    pieces of the common refinement of the two supports."""
+    xs, ys = x.support_cells(), y.support_cells()
+    px, py, _ = common_refinement(PolyhedralSet(x.k, x.ambient, [c.poly for c in xs]),
+                                  PolyhedralSet(y.k, y.ambient, [c.poly for c in ys]))
+    return ([(piece, c.frame) for i, c in enumerate(xs) for piece in px[i]],
+            [(piece, c.frame) for i, c in enumerate(ys) for piece in py[i]])
+
+
 def equivalent(p, q) -> bool:
     """Same cycle class: frames agree on the common refinement of supports."""
     x = _framed(p)
@@ -348,20 +358,10 @@ def equivalent(p, q) -> bool:
         raise ValueError("ambient mismatch")
     xs = x.support_cells()
     ys = y.support_cells()
-    if not xs and not ys:
-        return True
-    if not xs or not ys:
-        return False
-    if x.k != y.k:
-        return False
-    cx = PolyhedralSet.from_cells(x.k, x.ambient, [c.poly for c in xs])
-    cy = PolyhedralSet.from_cells(y.k, y.ambient, [c.poly for c in ys])
-    _, _, refined = common_refinement(cx, cy)
-    for cell in refined.cells:
-        pt = cell.relint_point()
-        if x.frame_at(pt) != y.frame_at(pt):
-            return False
-    return True
+    if not xs or not ys or x.k != y.k:
+        return not xs and not ys
+    xp, yp = _refined(x, y)
+    return not _sum_cells(x.n, x.k, xp + [(piece, -f) for piece, f in yp]).support_cells()
 
 
 def add(p, q) -> EtvRep:
@@ -376,15 +376,8 @@ def add(p, q) -> EtvRep:
         return p if isinstance(p, EtvRep) else canonicalize(x, validate=False)
     if x.k != y.k:
         raise ValueError("dimension mismatch in sum")
-    cx = PolyhedralSet.from_cells(x.k, x.ambient, [c.poly for c in x.support_cells()])
-    cy = PolyhedralSet.from_cells(y.k, y.ambient, [c.poly for c in y.support_cells()])
-    _, _, refined = common_refinement(cx, cy)
-    cells = []
-    for cell in refined.cells:
-        pt = cell.relint_point()
-        frame = x.frame_at(pt) + y.frame_at(pt)
-        cells.append(FramedCell(cell, frame))
-    return canonicalize(FramedSet(x.n, x.k, cells), validate=False)
+    xp, yp = _refined(x, y)
+    return canonicalize(_sum_cells(x.n, x.k, xp + yp), validate=False)
 
 
 # Translating every cell, or scaling every frame by the same t != 0, keeps a
@@ -562,9 +555,8 @@ def evaluate_current(p, tf: TestForm) -> Fraction:
                 for key, coeff in tf.terms:
                     if len(key) != tf.degree:
                         raise ValueError("malformed test form term")
-                    from .linalg import det as _det
                     minor = [[edges[i][j] for j in key] for i in t_tup]
-                    dval = _det(minor) if key else _ONE
+                    dval = det(minor) if key else _ONE
                     if dval == 0:
                         continue
                     phi_poly = phi_poly + coeff.subs_affine(v0, edges) * dval

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exterior import Alt, max_complex_subspace, quotient_pushforward, restrict
-from .framed import (EtvRep, FramedCell, FramedSet, _framed, add, canonicalize,
-                     cell_sign, is_positive, negate, split_positive, zero_etv)
+from .framed import (EtvRep, FramedCell, FramedSet, _framed, _sum_cells, add,
+                     canonicalize, cell_sign, is_positive, negate, split_positive,
+                     zero_etv)
 from .linalg import intersect_rowspaces, rank
 from .polyhedra import HPoly, hyperplanes_of_cells, split_by_hyperplanes
 
@@ -98,20 +99,13 @@ def transversal_intersection(x, y) -> FramedSet:
     k_out = xf.k + yf.k - 2 * n
     if k_out < n:
         raise ValueError("dimension of the intersection falls below n")
-    acc: dict = {}
+    pairs = []
     for a in xf.support_cells():
         for b in yf.support_cells():
             inter = a.poly.intersect(b.poly).canonical()
-            if inter.is_empty() or inter.dim != k_out:
-                continue
-            frame = _wedge_frame(a, b, inter)
-            if inter.key in acc:
-                poly, cur = acc[inter.key]
-                acc[inter.key] = (poly, cur + frame)
-            else:
-                acc[inter.key] = (inter, frame)
-    cells = [FramedCell(p, f) for p, f in acc.values()]
-    return FramedSet(n, k_out, cells)
+            if not inter.is_empty() and inter.dim == k_out:
+                pairs.append((inter, _wedge_frame(a, b, inter)))
+    return _sum_cells(n, k_out, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -277,20 +271,9 @@ def bergman_fan(x, validate: bool = True) -> EtvRep:
     if not cells:
         return zero_etv(n, k)
     recession = [(c, c.poly.recession_cone()) for c in cells]
-    cones = [rc for _, rc in recession if rc.dim == k]
-    if not cones:
-        return zero_etv(n, k)
     hyps = hyperplanes_of_cells([rc for _, rc in recession if rc.dim > 0])
-    pieces: dict = {}
-    for cone in cones:
-        for piece in split_by_hyperplanes(cone, hyps):
-            if piece.dim == k:
-                pieces.setdefault(piece.key, piece)
-    framed_cells = []
-    for piece in pieces.values():
-        total = Alt(2 * n - k)
-        for c, rc in recession:
-            if rc.dim == k and rc.contains_poly(piece):
-                total = total + c.frame
-        framed_cells.append(FramedCell(piece, total))
-    return canonicalize(FramedSet(n, k, framed_cells), validate=validate)
+    # the walls of every cone are among hyps, so a piece lies in a cone
+    # exactly when it is one of that cone's pieces
+    pairs = [(piece, c.frame) for c, rc in recession if rc.dim == k
+             for piece in split_by_hyperplanes(rc, hyps)]
+    return canonicalize(_sum_cells(n, k, pairs), validate=validate)

@@ -2,9 +2,11 @@
 
 A PL function is a difference of two max-families of affine functionals
 Re<z, w> + c.  Its corner locus is the codimension-one complex framed by
-the d^c jumps across walls of the linearity tiling, oriented by the rule:
-the wall inherits the basis C with (outward-from-P, C) matching the
-standard orientation of R^{2n}, and carries d^c(h_P) - d^c(h_Q).
+the d^c jumps across walls of the linearity tiling: the weighted boundary
+of the tiling, each full-dimensional cell P framed by d^c(h_P).  A wall
+between P and Q is a facet of both with opposite outward vectors, so it
+carries s_P (d^c(h_P) - d^c(h_Q)), where s_P is the sign of (outward from
+P, canonical wall basis) against the standard orientation of R^{2n}.
 
 The weighted-boundary operator takes a cycle X on whose cells h is affine
 to the boundary of the cycle framed by d^c(G) wedge frame, where G is the
@@ -22,7 +24,7 @@ from .exterior import ccov_form, complexify, dc_ccov, wedge
 from .framed import (EtvRep, FramedCell, FramedSet, _framed, boundary,
                      canonicalize, cell_weight, equivalent, translate, zero_etv)
 from .intersection import product_many
-from .linalg import basis_change_sign, rref
+from .linalg import rref
 from .polyhedra import HPoly, VPolytope, volume
 from .scalars import CRat
 
@@ -136,37 +138,11 @@ def linearity_complex(h: PLFunction) -> list:
 
 
 def corner_locus(h: PLFunction) -> EtvRep:
-    """The codimension-one cycle framed by d^c jumps of the linearity tiling."""
-    n = h.n
-    ambient = 2 * n
-    cells = linearity_complex(h)
-    walls: dict = {}
-    for ci, lc in enumerate(cells):
-        for facet, ineq in lc.poly.facets_with_normals():
-            walls.setdefault(facet.key, []).append((facet, ineq, ci))
-    standard = [tuple(_ONE if i == j else _ZERO for j in range(ambient))
-                for i in range(ambient)]
-    framed_cells = []
-    for entries in walls.values():
-        if len(entries) != 2:
-            raise ValueError("linearity tiling has a non-interior wall")
-        (facet, ineq_p, ci_p), (_, _, ci_q) = entries
-        diff = tuple(a - b for a, b in
-                     zip(cells[ci_p].differential(), cells[ci_q].differential()))
-        if all(d.is_zero() for d in diff):
-            continue
-        form = ccov_form(dc_ccov(diff))
-        a, _ = ineq_p
-        outward = None
-        for idx, coeff in enumerate(a):
-            if coeff != 0:
-                e = [_ZERO] * ambient
-                e[idx] = _ONE if coeff > 0 else -_ONE
-                outward = tuple(e)
-                break
-        sign = basis_change_sign([outward] + list(facet.tangent_basis), standard)
-        framed_cells.append(FramedCell(facet, form if sign > 0 else -form))
-    return canonicalize(FramedSet(n, 2 * n - 1, framed_cells))
+    """The codimension-one cycle framed by d^c jumps of the linearity tiling:
+    the boundary of the tiling with each cell framed by d^c of h on it."""
+    cells = [FramedCell(lc.poly, ccov_form(dc_ccov(lc.differential())))
+             for lc in linearity_complex(h)]
+    return canonicalize(boundary(FramedSet(h.n, 2 * h.n, cells)))
 
 
 def support_function(gamma: VPolytope) -> PLFunction:

@@ -730,14 +730,19 @@ class PolyhedralSet:
     def validate_face_to_face(self):
         for i, a in enumerate(self.cells):
             for b in self.cells[i + 1:]:
-                inter = a.intersect(b).canonical()
-                if inter.is_empty():
-                    continue
-                p = inter.relint_point()
-                for cell in (a, b):
-                    face = cell.smallest_face_at(p)
-                    if face.key != inter.key:
-                        raise ValueError("cells do not intersect in a common face")
+                if not face_to_face(a, b):
+                    raise ValueError("cells do not intersect in a common face")
+
+
+def face_to_face(a: HPoly, b: HPoly) -> bool:
+    """Whether two canonical cells are disjoint or meet in a face of each:
+    the face of each cell at a relative interior point of the intersection
+    must be the intersection itself."""
+    inter = a.intersect(b).canonical()
+    if inter.is_empty():
+        return True
+    p = inter.relint_point()
+    return all(cell.smallest_face_at(p).key == inter.key for cell in (a, b))
 
 
 def hyperplanes_of_cells(cells):

@@ -34,8 +34,7 @@ HPOLY = {"type": "object",
          "required": ["ambient"]}
 
 VPOLYTOPE = {"type": "object",
-             "properties": {"vertices": {"type": "array", "items": VECTOR},
-                            "rays": {"type": "array", "items": VECTOR}},
+             "properties": {"vertices": {"type": "array", "items": VECTOR}},
              "required": ["vertices"]}
 
 POLYHEDRAL_SET = {"type": "object",

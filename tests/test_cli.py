@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from etv import jsonio
+from etv import cli, jsonio
 from etv.cli import main
 from etv.dualfan import dual_fan_etp
 from etv.framed import canonicalize, equivalent
@@ -65,6 +65,8 @@ class TestCommands:
     def test_schema_flag(self, capsys):
         code, out = run(capsys, "--schema")
         assert code == 0 and "framed_set" in out
+        # polytope readers reject rays, so the schema does not offer them
+        assert set(out["vpolytope"]["properties"]) == {"vertices"}
 
     def test_dual_fan_square(self, capsys, square_file):
         code, out = run(capsys, "dual-fan", "--polytope", square_file, "--k", "1")
@@ -140,6 +142,15 @@ class TestCommands:
         x = write(tmp_path, "x.json", fan_out["result"])
         code, out = run(capsys, "equivalent", x, x)
         assert code == 3 and out["status"] == "resource-cap"
+
+    def test_cell_cap_counts_framed_sets_and_canonical_cycles(self, monkeypatch):
+        fan = dual_fan_etp(VPolytope.from_points([pt(0, 0), pt(1, 0), pt(0, 1)]), 1).result
+        monkeypatch.setenv("ETV_MAX_CELLS", str(len(fan.cells()) - 1))
+        for x in (fan, fan.framed):
+            with pytest.raises(cli.ResourceCap):
+                cli._guard_cells(x)
+        monkeypatch.setenv("ETV_MAX_CELLS", str(len(fan.cells())))
+        assert cli._guard_cells(fan.framed) is fan.framed
 
     def test_degeneracy_command(self, capsys, tmp_path):
         fam = {"n": 2, "sets": [
