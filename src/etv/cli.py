@@ -6,8 +6,8 @@ ledger so that outputs are reproducible bit for bit: identical inputs and
 seeds give byte-identical reports.
 
 Resource caps come from the environment: ETV_MAX_CELLS bounds the number
-of cells any framed input or product may reach, ETV_MAX_SUBSETS bounds
-subset enumeration in the degeneracy oracle.
+of cells any framed input or product may reach, ETV_MAX_SUBSETS bounds 2^k
+for a family of k sets given to the `degeneracy` command.
 """
 
 from __future__ import annotations
@@ -75,9 +75,14 @@ def _guard_cells(x):
     return x
 
 
-def _load_etv(path, validate=True):
-    framed = _guard_cells(jsonio.framedset_from_json(_load(path)))
-    return canonicalize(framed, validate=validate)
+def _load_framed(path):
+    """The framed set of a file: every framed-set input is read here, so
+    ETV_MAX_CELLS holds on all of them."""
+    return _guard_cells(jsonio.framedset_from_json(_load(path)))
+
+
+def _load_etv(path):
+    return canonicalize(_load_framed(path))
 
 
 def _report(args, command: str, result: dict, status: str = "ok") -> dict:
@@ -99,8 +104,7 @@ def _emit(args, report: dict, code: int) -> int:
 
 
 def _cmd_validate_etp(args):
-    framed = jsonio.framedset_from_json(_load(args.input))
-    report = is_etp(framed)
+    report = is_etp(_load_framed(args.input))
     result = {"ok": report.ok, "witness": report.witness}
     code = EXIT_OK if report.ok else EXIT_INVALID
     return _emit(args, _report(args, "validate-etp", result,
@@ -108,8 +112,7 @@ def _cmd_validate_etp(args):
 
 
 def _cmd_boundary(args):
-    framed = jsonio.framedset_from_json(_load(args.input))
-    bd = boundary(framed)
+    bd = boundary(_load_framed(args.input))
     result = {"result": jsonio.framedset_to_json(bd),
               "support_empty": not bd.support_cells()}
     return _emit(args, _report(args, "boundary", result), EXIT_OK)
@@ -170,8 +173,7 @@ def _cmd_corner_locus(args):
 
 def _cmd_dc(args):
     h = jsonio.plfunction_from_json(_load(args.function))
-    x = jsonio.framedset_from_json(_load(args.cycle))
-    out = dc_weighted(h, x)
+    out = dc_weighted(h, _load_framed(args.cycle))
     return _emit(args, _report(args, "dc",
                                {"result": jsonio.framedset_to_json(out)}), EXIT_OK)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .exterior import real_covector_to_ccov
+from .exterior import complex_annihilator, real_covector_to_ccov
 from .framed import EtvRep
 from .linalg import kernel_basis, rank, rref
 from .monge import AffineFunc, PLFunction, corner_locus
@@ -186,15 +186,6 @@ class HDegeneracyCertificate:
     correctors: tuple   # AffineFunc per subset member
 
 
-def _complex_annihilator(covectors, n):
-    """Basis of {z in C^n : <z, w> = 0 for all given covectors w}."""
-    rows = [list(w) for w in covectors]
-    if not rows:
-        return [tuple(CRat(1) if j == i else CRat(0) for j in range(n))
-                for i in range(n)]
-    return [tuple(v) for v in kernel_basis(rows, n, one=CRat(1))]
-
-
 def _pairing_c(z, w) -> CRat:
     total = CRat(0)
     for a, b in zip(z, w):
@@ -236,10 +227,8 @@ def ma_zero_criterion(*funcs: PLFunction):
         locus = corner_locus(h)
         if locus.is_zero():
             # affine function: its factor vanishes outright
-            whole = tuple(tuple(CRat(1) if j == i else CRat(0) for j in range(n))
-                          for i in range(n))
             cert = HDegeneracyCertificate(
-                subset=(idx,), h_basis=whole,
+                subset=(idx,), h_basis=tuple(complex_annihilator((), n)),
                 correctors=(AffineFunc(tuple(-c for c in h.plus[0].w),
                                        -h.plus[0].c),))
             return True, cert
@@ -248,7 +237,7 @@ def ma_zero_criterion(*funcs: PLFunction):
     family = VectorFamily(n=n, sets=tuple(sets))
     if k > n or not is_nondegenerate(family):
         witness = degeneracy_witness(family)
-        h_basis = _complex_annihilator(witness.subspace_basis, n)
+        h_basis = complex_annihilator(witness.subspace_basis, n)
         correctors = []
         for i in witness.set_indices:
             base = funcs[i].plus[0]

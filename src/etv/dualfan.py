@@ -7,6 +7,10 @@ through the nondegenerate pairing Im<z, z*> between the cone's quotient
 space and the face tangent space: the frame is stored at the cell
 orientation (Q, complex-standard) where the pairing determinant of
 (Q, face basis) is positive.
+
+The cocycle and volume-recursion checks stay in V-form: the facets of a
+face come from the one hull of its vertices, each signed by (outward
+vector, facet basis) against the face basis.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ from fractions import Fraction
 
 from .exterior import (Alt, apply_J, max_complex_subspace,
                        oriented_quotient_basis, pairing, rho, wedge)
-from .framed import EtvRep, FramedCell, FramedSet, canonicalize, induced_facet_sign
-from .linalg import det, rref
+from .framed import EtvRep, FramedCell, FramedSet, canonicalize
+from .linalg import basis_change_sign, det, rref
 from .polyhedra import HPoly, VPolytope, dual_cone, volume_multivector
 from .scalars import CRat
 
@@ -113,11 +117,18 @@ def valid_k_range(gamma: VPolytope):
 # ---------------------------------------------------------------------------
 # cocycle checks
 
-def _oriented_facets(face_poly: HPoly):
-    """Facets of a face (as H-cell) with induced-orientation signs."""
+def _oriented_facets(face: VPolytope):
+    """(facet, sign) pairs of a face: its facets from the one hull of its
+    vertices, each signed by (outward vector, facet basis) against the face
+    basis.  The outward vector u - w runs from a vertex w of the face off the
+    facet to a vertex u of the facet."""
+    basis = list(face.tangent_basis)
     out = []
-    for facet, ineq in face_poly.facets_with_normals():
-        out.append((facet, induced_facet_sign(face_poly, facet, ineq)))
+    for facet in face.faces(face.dim - 1):
+        u = facet.vertices[0]
+        w = next(v for v in face.vertices if v not in facet.vertices)
+        outward = tuple(a - b for a, b in zip(u, w))
+        out.append((facet, basis_change_sign([outward, *facet.tangent_basis], basis)))
     return out
 
 
@@ -129,12 +140,9 @@ def pascal_check(gamma: VPolytope, m: int) -> bool:
     n = gamma.ambient // 2
     if m + 1 <= gamma.dim:
         for face in gamma.faces(m + 1):
-            face_poly = face.to_hpoly()
             total = Alt(m)
-            for sub_poly, sign in _oriented_facets(face_poly):
-                sub = VPolytope.from_points(sub_poly.vertices())
-                p_sub = volume_multivector(sub, list(sub_poly.tangent_basis))
-                total = total + (p_sub if sign > 0 else -p_sub)
+            for sub, sign in _oriented_facets(face):
+                total = total + volume_multivector(sub, list(sub.tangent_basis)).scale(sign)
             if not total.is_zero():
                 return False
     if m > n:
@@ -151,18 +159,12 @@ def volume_recursion_check(gamma: VPolytope, m: int) -> bool:
     if m + 1 > gamma.dim:
         raise ValueError("no faces of dimension m+1")
     for face in gamma.faces(m + 1):
-        face_poly = face.to_hpoly()
-        lhs = rho(volume_multivector(VPolytope.from_points(face_poly.vertices()),
-                                     list(face_poly.tangent_basis)))
+        lhs = rho(volume_multivector(face, list(face.tangent_basis)))
         for choice in (0, 1):
             total = Alt(m + 1)
-            for sub_poly, sign in _oriented_facets(face_poly):
-                verts = sub_poly.vertices()
-                w = verts[choice % len(verts)]
-                sub = VPolytope.from_points(verts)
-                p_sub = rho(volume_multivector(sub, list(sub_poly.tangent_basis)))
-                if sign < 0:
-                    p_sub = -p_sub
+            for sub, sign in _oriented_facets(face):
+                w = sub.vertices[choice % len(sub.vertices)]
+                p_sub = rho(volume_multivector(sub, list(sub.tangent_basis))).scale(sign)
                 w_vec = rho(Alt(1, {(i,): x for i, x in enumerate(w) if x != 0}))
                 total = total + wedge(w_vec, p_sub)
             if total.scale(CRat(Fraction(1, m + 1))) != lhs:
@@ -175,17 +177,11 @@ def real_volume_recursion_check(gamma: VPolytope, m: int) -> bool:
     if m + 1 > gamma.dim:
         raise ValueError("no faces of dimension m+1")
     for face in gamma.faces(m + 1):
-        face_poly = face.to_hpoly()
-        lhs = volume_multivector(VPolytope.from_points(face_poly.vertices()),
-                                 list(face_poly.tangent_basis))
+        lhs = volume_multivector(face, list(face.tangent_basis))
         total = Alt(m + 1)
-        for sub_poly, sign in _oriented_facets(face_poly):
-            verts = sub_poly.vertices()
-            sub = VPolytope.from_points(verts)
-            p_sub = volume_multivector(sub, list(sub_poly.tangent_basis))
-            if sign < 0:
-                p_sub = -p_sub
-            w_vec = Alt(1, {(i,): x for i, x in enumerate(verts[0]) if x != 0})
+        for sub, sign in _oriented_facets(face):
+            p_sub = volume_multivector(sub, list(sub.tangent_basis)).scale(sign)
+            w_vec = Alt(1, {(i,): x for i, x in enumerate(sub.vertices[0]) if x != 0})
             total = total + wedge(w_vec, p_sub)
         if total.scale(Fraction(1, m + 1)) != lhs:
             return False

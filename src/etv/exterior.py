@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import (basis_change_sign, det, intersect_rowspaces, rank,
-                     rref)
+from .linalg import (basis_change_sign, det, intersect_rowspaces, kernel_basis,
+                     rank, rref)
 from .scalars import CRat
 
 RVec = tuple  # 2n rationals, (x1, y1, ..., xn, yn)
@@ -322,6 +322,11 @@ def max_complex_subspace(basis) -> tuple[list, bool]:
     codim_c = n - len(inter) // 2
     codim_r = ncols - len(ebasis)
     return list(inter), codim_c < codim_r
+
+
+def complex_annihilator(covectors, n):
+    """Basis of {z in C^n : <z, w> = 0 for all given covectors w}."""
+    return kernel_basis([list(w) for w in covectors], n, one=CRat(1))
 
 
 def standard_complex_basis(c_basis) -> list:

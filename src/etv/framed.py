@@ -25,9 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .exterior import (Alt, evaluate_cform, max_complex_subspace,
-                       quotient_pushforward, restrict)
-from .linalg import basis_change_sign, det, kernel_basis
+from .exterior import (Alt, ccov_form, complex_annihilator, complexify,
+                       evaluate_cform, max_complex_subspace, quotient_pushforward,
+                       restrict, wedge_all)
+from .linalg import basis_change_sign, det, det_at
 from .lp import OPTIMAL, solve_lp
 from .polyhedra import (HPoly, PolyhedralSet, common_refinement, face_to_face,
                         triangulate)
@@ -102,8 +103,7 @@ def induced_facet_sign(cell: HPoly, facet: HPoly, ineq) -> int:
     if outward is None:
         raise ValueError("inequality does not cut the cell's tangent space")
     pivots = [next(j for j, x in enumerate(v) if x != 0) for v in cell.tangent_basis]
-    coords = [[v[j] for j in pivots] for v in [outward, *facet.tangent_basis]]
-    return 1 if det(coords) > 0 else -1
+    return 1 if det_at([outward, *facet.tangent_basis], pivots) > 0 else -1
 
 
 def _sum_cells(n: int, k: int, pairs) -> FramedSet:
@@ -185,40 +185,18 @@ def cell_weight(frame: Alt, tangent_basis) -> Fraction:
 def unit_positive_frame(tangent_basis, n: int) -> Alt:
     """The positive generator of frames on a nondegenerate subspace.
 
-    Valid frames on a fixed subspace form a one-dimensional real space;
-    this returns the representative of quotient density one.
+    Valid frames on a fixed subspace E form a one-dimensional real space.
+    The wedge of a basis of the complex covectors that vanish on the maximal
+    complex subspace of E is one of them up to a complex factor: it kills
+    that subspace, so on E it is a multiple of the quotient volume form.
+    Dividing by its quotient density gives the representative of density one.
     """
-    k = len(tangent_basis)
-    m = 2 * n - k
-    keys = list(combinations(range(n), m))
-    nk = len(keys)
-    rows = []
-    for tup in combinations(range(k), m):
-        args = [tangent_basis[i] for i in tup]
-        row_a = []
-        row_b = []
-        for key in keys:
-            minor = evaluate_cform(Alt(m, {key: CRat(1)}), args)
-            row_a.append(minor.im)
-            row_b.append(minor.re)
-        rows.append(tuple(row_a + row_b))
-    ker = kernel_basis(rows, 2 * nk)
-    candidates = []
-    for vec in ker:
-        terms = {}
-        for j, key in enumerate(keys):
-            val = CRat(vec[j], vec[nk + j])
-            if not val.is_zero():
-                terms[key] = val
-        form = Alt(m, terms)
-        if not form.is_zero():
-            pf = quotient_pushforward(form, tangent_basis)
-            if pf.sign != 0:
-                candidates.append((form, pf.density.re))
-    if not candidates:
+    c_basis, degenerate = max_complex_subspace(list(tangent_basis))
+    if degenerate:
         raise ValueError("no positive frame: subspace is degenerate")
-    form, density = candidates[0]
-    return form.scale(CRat(1 / density))
+    form = wedge_all(ccov_form(w) for w in
+                     complex_annihilator([complexify(v) for v in c_basis], n))
+    return form.scale(CRat(1) / quotient_pushforward(form, tangent_basis).density)
 
 
 def is_positive(p) -> bool:

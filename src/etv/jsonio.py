@@ -16,7 +16,7 @@ from .framed import EtvRep, FramedCell, FramedSet, TestForm, _framed, canonicali
 from .monge import AffineFunc, PLFunction
 from .polyhedra import HPoly, VPolytope
 from .polynomials import Poly
-from .scalars import CRat, crat_parse, crat_str, rat_str
+from .scalars import CRat, crat_str, rat_str
 
 
 class ParseError(ValueError):
@@ -58,10 +58,18 @@ def _rat(obj) -> Fraction:
 
 
 def _crat(obj) -> CRat:
-    try:
-        return crat_parse(obj)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad complex rational {obj!r}") from exc
+    """{"re", "im"} (each part optional) or a bare rational."""
+    if isinstance(obj, dict):
+        return CRat(_rat(obj.get("re", 0)), _rat(obj.get("im", 0)))
+    return CRat(_rat(obj))
+
+
+def _indices(obj, degree: int, size: int) -> tuple:
+    """The strictly increasing indices in [0, size) of a degree-`degree` term."""
+    idx = tuple(_int(i) for i in _list(obj, degree))
+    if any(not 0 <= i < size for i in idx) or any(a >= b for a, b in zip(idx, idx[1:])):
+        raise ParseError(f"term indices {list(idx)} are not increasing in [0, {size})")
+    return idx
 
 
 def vector_to_json(v):
@@ -86,10 +94,12 @@ def form_to_json(form: Alt):
                       for k, v in sorted(form.terms.items())]}
 
 
-def form_from_json(obj) -> Alt:
-    terms = {tuple(_int(i) for i in _list(_get(t, "indices"))): _crat(_get(t, "value"))
+def form_from_json(obj, n: int) -> Alt:
+    """A complex form on C^n."""
+    degree = _int(_get(obj, "degree"))
+    terms = {_indices(_get(t, "indices"), degree, n): _crat(_get(t, "value"))
              for t in _list(_get(obj, "terms", []))}
-    return Alt(_int(_get(obj, "degree")), terms)
+    return Alt(degree, terms)
 
 
 def _functional_to_json(coeffs, rhs):
@@ -167,7 +177,7 @@ def framedset_from_json(obj) -> FramedSet:
         if poly.ambient != 2 * n:
             raise ParseError(f"cell of ambient dimension {poly.ambient} for n = {n}")
         frame_obj = _get(entry, "frame", {})
-        form = form_from_json(_get(frame_obj, "form"))
+        form = form_from_json(_get(frame_obj, "form"), n)
         basis = [vector_from_json(b) for b in _list(_get(frame_obj, "basis", []))]
         if basis and tuple(basis) != tuple(poly.tangent_basis):
             odd = OddForm(form=form, basis=tuple(basis))
@@ -220,7 +230,7 @@ def testform_from_json(obj) -> TestForm:
     window = tuple((_rat(lo), _rat(hi))
                    for lo, hi in (_list(w, 2) for w in _list(_get(obj, "window"))))
     nv = len(window)
-    terms = tuple((tuple(_int(i) for i in _list(_get(t, "indices"))),
+    terms = tuple((_indices(_get(t, "indices"), degree, nv),
                    poly_from_json(_get(t, "poly"), nv))
                   for t in _list(_get(obj, "terms", [])))
     return TestForm(degree, terms, window)

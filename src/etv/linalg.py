@@ -169,18 +169,6 @@ def solve(rows: Sequence[Sequence], rhs: Sequence):
     return tuple(sol)
 
 
-def coords_in_basis(basis: Sequence[Sequence], vec: Sequence):
-    """Coordinates of vec in the given (independent) basis, or None."""
-    cols = [list(b) for b in basis]
-    # solve basis^T @ c = vec
-    rows = [tuple(cols[j][i] for j in range(len(basis))) for i in range(len(vec))]
-    return solve(rows, list(vec))
-
-
-def in_span(basis: Sequence[Sequence], vec: Sequence) -> bool:
-    return coords_in_basis(basis, vec) is not None
-
-
 def det(rows: Sequence[Sequence]):
     """Determinant; Bareiss elimination with exact division on rational input."""
     n = len(rows)
@@ -241,23 +229,28 @@ def _det_field(rows: Sequence[Sequence]):
     return result
 
 
+def det_at(rows: Sequence[Sequence], cols: Sequence[int]):
+    """Determinant of the rows restricted to the given columns."""
+    return det([[r[j] for j in cols] for r in rows])
+
+
 def basis_change_sign(frm: Sequence[Sequence], to: Sequence[Sequence]) -> int:
     """Sign of det of the change of basis between two bases of one space.
 
     +1 if `frm` and `to` define the same orientation, -1 otherwise.
-    Entries must be rational (orientations live in real spaces).
+    Entries must be rational (orientations live in real spaces).  A vector
+    of span(to) has its entries at the pivot columns of rref(to) as
+    coordinates in that rref basis, so the change of basis has the sign of
+    the product of the two determinants at those columns.
     """
     if len(frm) != len(to):
         raise ValueError("bases of different sizes")
     if not frm:
         return 1
-    coords = []
-    for v in frm:
-        c = coords_in_basis(to, v)
-        if c is None:
-            raise ValueError("vectors do not span the same space")
-        coords.append(c)
-    d = det(coords)
+    pivots = rref(to)[1]
+    if rank(list(to) + list(frm)) != len(pivots):
+        raise ValueError("vectors do not span the same space")
+    d = det_at(frm, pivots) * det_at(to, pivots) if len(pivots) == len(to) else 0
     if d == 0:
         raise ValueError("degenerate change of basis")
     return 1 if d > 0 else -1

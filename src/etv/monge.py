@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
-from .exterior import ccov_form, complexify, dc_ccov, wedge
+from .exterior import ccov_form, ccov_to_real_covector, complexify, dc_ccov, wedge
 from .framed import (EtvRep, FramedCell, FramedSet, _framed, boundary,
                      canonicalize, cell_weight, equivalent, translate, zero_etv)
 from .intersection import product_many
@@ -39,10 +39,7 @@ class AffineFunc:
     c: Fraction
 
     def real_coeffs(self):
-        out = []
-        for wj in self.w:
-            out.extend((wj.re, -wj.im))
-        return tuple(out)
+        return ccov_to_real_covector(self.w)
 
     def value(self, z):
         return sum(a * x for a, x in zip(self.real_coeffs(), z)) + self.c

@@ -6,12 +6,13 @@ V-polytopes represent the input polytopes in the dual space, where face
 enumeration and volume multivectors are needed.
 
 Point sets get one hull each: `_hull_facets` runs once, in the chart of
-`_chart`, and faces, triangulations and volumes come from its facet
-incidence sets.  Every face is an intersection of the facets containing it
-(Ziegler, Lectures on Polytopes, 2.3), so the facets of a face are its
-maximal cuts by the hull facets (`_facet_cuts`); `face_vertex_sets` walks
-the lattice down by these cuts, `triangulate` pulls each face from its
-least point over the cuts that miss it, and `volume` sums the simplices.
+`_chart`, and vertices (`VPolytope.from_points`), faces, triangulations
+and volumes come from its facet incidence sets.  Every face is an
+intersection of the facets containing it (Ziegler, Lectures on Polytopes,
+2.3), so the facets of a face are its maximal cuts by the hull facets
+(`_facet_cuts`); `face_vertex_sets` walks the lattice down by these cuts,
+`triangulate` pulls each face from its least point over the cuts that miss
+it, and `volume` sums the simplices.
 
 Canonicalization contract: a canonical HPoly has its affine hull expressed
 as an rref equality system, no implicit equalities hiding among the
@@ -50,7 +51,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
-from .linalg import det, kernel_basis, rank, rref, scale_primitive, solve
+from .linalg import det, det_at, kernel_basis, rank, rref, scale_primitive, solve
 from .lp import OPTIMAL, UNBOUNDED, solve_lp
 
 _ZERO = Fraction(0)
@@ -442,28 +443,6 @@ def _canonical_from_hull(ambient, eqs, ineqs) -> HPoly:
 # ---------------------------------------------------------------------------
 # V-polytopes
 
-def extreme_points(points):
-    """Subset of points that are vertices of the convex hull."""
-    pts = sorted(set(tuple(p) for p in points))
-    if len(pts) <= 1:
-        return pts
-    out = []
-    for i, p in enumerate(pts):
-        others = pts[:i] + pts[i + 1:]
-        # p extreme iff p is not a convex combination of the others
-        a_eq = [[q[j] for q in others] for j in range(len(p))]
-        a_eq.append([_ONE] * len(others))
-        b_eq = list(p) + [_ONE]
-        res = solve_lp([_ZERO] * len(others),
-                       a_ub=[[-_ONE if k == j else _ZERO for k in range(len(others))]
-                             for j in range(len(others))],
-                       b_ub=[_ZERO] * len(others),
-                       a_eq=a_eq, b_eq=b_eq)
-        if res.status != OPTIMAL:
-            out.append(p)
-    return out
-
-
 @dataclass(frozen=True)
 class VPolytope:
     """Bounded rational polytope given by its vertex list (minimal)."""
@@ -471,7 +450,19 @@ class VPolytope:
 
     @staticmethod
     def from_points(points) -> "VPolytope":
-        return VPolytope(vertices=tuple(extreme_points(points)))
+        """The polytope of the vertices of conv(points), in sorted order.
+
+        A point is a vertex when the hull facets containing it meet in that
+        point alone: their intersection is the smallest face containing it.
+        """
+        pts = sorted(set(tuple(p) for p in points))
+        if len(pts) <= 1:
+            return VPolytope(vertices=tuple(pts))
+        facets = [tight for _, _, tight in _hull_facets(_chart(pts)[2])]
+        everything = frozenset(range(len(pts)))
+        return VPolytope(vertices=tuple(
+            p for i, p in enumerate(pts)
+            if everything.intersection(*(g for g in facets if i in g)) == {i}))
 
     @property
     def ambient(self) -> int:
@@ -540,9 +531,6 @@ class VPolytope:
     def volume(self) -> Fraction:
         """Volume in the tangent-basis chart (full-dimensional measure)."""
         return volume(_chart(self.vertices)[2])
-
-    def contains_point(self, p) -> bool:
-        return self.to_hpoly().contains_point(p)
 
 
 def _chart(points):
@@ -671,7 +659,7 @@ def volume_multivector(face: VPolytope, basis):
         raise ValueError("orientation token does not span the face")
     vol = _ZERO
     if len(rows) == m:
-        vol = volume(coords) / abs(det([[b[j] for j in pivots] for b in basis]))
+        vol = volume(coords) / abs(det_at(basis, pivots))
     blade = wedge_all([Alt(1, {(i,): x for i, x in enumerate(b) if x != 0})
                        for b in basis])
     return blade.scale(vol)

@@ -118,8 +118,3 @@ CZERO = CRat(0)
 def crat_str(z: CRat) -> dict:
     return {"re": rat_str(z.re), "im": rat_str(z.im)}
 
-
-def crat_parse(obj) -> CRat:
-    if isinstance(obj, dict):
-        return CRat(Fraction(obj.get("re", 0)), Fraction(obj.get("im", 0)))
-    return CRat.of(obj)

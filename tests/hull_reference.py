@@ -1,15 +1,18 @@
-"""Reference face lattices, triangulations and volumes: a new chart and a
-new hull for every face, with coordinates solved point by point.
+"""Reference vertices, face lattices, triangulations and volumes: one LP
+per point for the vertices, and a new chart and a new hull for every face,
+with coordinates solved point by point.
 
-This is the per-face construction that `etv.polyhedra` replaced by one hull
-per point set; the tests compare the two.
+These are the constructions that `etv.polyhedra` replaced by one hull per
+point set; the tests compare the two.
 """
 
 from fractions import Fraction as F
 from math import factorial
 
-from etv.linalg import coords_in_basis, det, rank, rref
+from etv.linalg import det, rank, rref
+from etv.lp import OPTIMAL, solve_lp
 from etv.polyhedra import _hull_facets
+from orientation_reference import coords_in_basis
 
 
 def _diff(p, q):
@@ -21,6 +24,25 @@ def _lift(coords, origin, basis):
     for c, bvec in zip(coords, basis):
         pt = [a + c * x for a, x in zip(pt, bvec)]
     return tuple(pt)
+
+
+def extreme_points(points):
+    """The points, sorted and deduplicated, that are no convex combination
+    of the others: one feasibility LP per point."""
+    pts = sorted(set(tuple(p) for p in points))
+    if len(pts) <= 1:
+        return pts
+    out = []
+    for i, p in enumerate(pts):
+        others = pts[:i] + pts[i + 1:]
+        a_eq = [[q[j] for q in others] for j in range(len(p))] + [[F(1)] * len(others)]
+        res = solve_lp([F(0)] * len(others),
+                       a_ub=[[F(-1) if k == j else F(0) for k in range(len(others))]
+                             for j in range(len(others))],
+                       b_ub=[F(0)] * len(others), a_eq=a_eq, b_eq=list(p) + [F(1)])
+        if res.status != OPTIMAL:
+            out.append(p)
+    return out
 
 
 def chart(points):

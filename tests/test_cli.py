@@ -28,6 +28,16 @@ def run(capsys, *argv):
     return code, json.loads(out)
 
 
+def _one_term_cycle(n, indices):
+    """A framed set in C^n of one cell, where the first n real coordinates
+    vanish, framed by one degree-n term at the given indices."""
+    eq = [{"coeffs": [str(int(i == j)) for j in range(2 * n)], "const": "0"}
+          for i in range(n)]
+    return {"n": n, "k": n, "cells": [{
+        "geom": {"ambient": 2 * n, "eq": eq},
+        "frame": {"form": {"degree": n, "terms": [{"indices": indices, "value": "1"}]}}}]}
+
+
 @pytest.fixture
 def square_file(tmp_path):
     sq = VPolytope.from_points([pt(0, 0), pt(1, 0), pt(0, 1), pt(1, 1)])
@@ -124,7 +134,14 @@ class TestCommands:
         ("eval-current", None, {"degree": 0, "window": [["-1", "1"], ["-1", "1"]],
                                 "terms": [{"indices": [], "poly": [{"coeff": "1"}]}]}),
         ("eval-current", None, {"degree": 0, "window": [["0"]], "terms": []}),
-    ], ids=["cell-without-geom", "poly-term-without-exps", "window-entry-of-one"])
+        ("validate-etp", _one_term_cycle(1, [5]), None),
+        ("validate-etp", _one_term_cycle(2, [1, 0]), None),
+        ("validate-etp", _one_term_cycle(2, [0]), None),
+        ("eval-current", None, {"degree": 1, "window": [["-1", "1"], ["-1", "1"]],
+                                "terms": [{"indices": [2], "poly": []}]}),
+    ], ids=["cell-without-geom", "poly-term-without-exps", "window-entry-of-one",
+            "index-out-of-range", "indices-not-increasing", "indices-fewer-than-degree",
+            "test-form-index-out-of-range"])
     def test_malformed_input_is_a_parse_error(self, capsys, tmp_path, square_file,
                                               command, cycle, form):
         if cycle is None:
@@ -151,6 +168,21 @@ class TestCommands:
                 cli._guard_cells(x)
         monkeypatch.setenv("ETV_MAX_CELLS", str(len(fan.cells())))
         assert cli._guard_cells(fan.framed) is fan.framed
+
+    @pytest.mark.parametrize("command", ["validate-etp", "boundary", "dc"])
+    def test_cell_cap_holds_on_every_framed_input(self, capsys, tmp_path, monkeypatch,
+                                                  square_file, command):
+        code, fan_out = run(capsys, "dual-fan", "--polytope", square_file, "--k", "2")
+        cells = len(fan_out["result"]["cells"])
+        args = [write(tmp_path, "x.json", fan_out["result"])]
+        if command == "dc":
+            h = {"n": 1, "plus": [{"w": ["0"], "c": "0"}, {"w": ["1"], "c": "0"}]}
+            args.insert(0, write(tmp_path, "h.json", h))
+        monkeypatch.setenv("ETV_MAX_CELLS", str(cells - 1))
+        code, out = run(capsys, command, *args)
+        assert code == 3 and out["status"] == "resource-cap"
+        monkeypatch.setenv("ETV_MAX_CELLS", str(cells))
+        assert run(capsys, command, *args)[0] == 0
 
     def test_degeneracy_command(self, capsys, tmp_path):
         fam = {"n": 2, "sets": [
@@ -301,7 +333,7 @@ class TestPolyhedralSetJson:
     (jsonio.plfunction_from_json, {"n": 2, "plus": [{"w": ["1"], "c": "0"}]}),
     (jsonio.framedset_from_json, {"n": 2, "k": 2, "cells": [
         {"geom": {"ambient": 2}, "frame": {"form": {"degree": 2}}}]}),
-    (jsonio.form_from_json, {"degree": "one"}),
+    (lambda obj: jsonio.form_from_json(obj, 1), {"degree": "one"}),
     (jsonio.vpolytope_from_json, {"vertices": "01"}),
     (jsonio.family_from_json, {"n": 2, "sets": [[["1"]], [["1", "0"]]]}),
 ], ids=["row-length", "covector-length", "cell-ambient", "degree-type", "vertices-type",
@@ -309,3 +341,8 @@ class TestPolyhedralSetJson:
 def test_reader_rejects_wrong_arity_and_types(reader, obj):
     with pytest.raises(jsonio.ParseError):
         reader(obj)
+
+
+def test_complex_parts_parse_exactly():
+    assert jsonio.cvector_from_json([{"re": 0.1, "im": 0}, {"re": "1/3", "im": 0.25}, 0.1]) \
+        == (CRat(F(1, 10)), CRat(F(1, 3), F(1, 4)), CRat(F(1, 10)))

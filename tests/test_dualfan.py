@@ -2,13 +2,16 @@ from fractions import Fraction as F
 
 import pytest
 
+import etv.framed as framed
+import etv.polyhedra as polyhedra
+import orientation_reference as oref
 from etv.dualfan import (DualFanEtp, dual_fan_etp, face_is_degenerate,
                          pascal_check, real_volume_recursion_check,
                          symplectic_orientation_sign, valid_k_range,
                          volume_recursion_check)
 from etv.exterior import Alt
 from etv.framed import equivalent, is_etp, is_positive, translate
-from etv.polyhedra import VPolytope
+from etv.polyhedra import HPoly, VPolytope
 from etv.scalars import CRat
 
 
@@ -127,17 +130,42 @@ class TestCocycles:
         # corrupt one edge multivector by recomputing the boundary sum by hand
         from etv.dualfan import _oriented_facets
         from etv.polyhedra import volume_multivector
-        face_poly = unit_square_c1().to_hpoly()
         total = Alt(1)
         first = True
-        for sub, sign in _oriented_facets(face_poly):
-            sub_v = VPolytope.from_points(sub.vertices())
-            p = volume_multivector(sub_v, list(sub.tangent_basis))
+        for sub, sign in _oriented_facets(unit_square_c1()):
+            p = volume_multivector(sub, list(sub.tangent_basis))
             if first:
                 p = p.scale(F(2))  # deliberate corruption
                 first = False
             total = total + (p if sign > 0 else -p)
         assert not total.is_zero()
+
+    def test_facets_match_h_round_trip(self, polytope_corpus):
+        from etv.dualfan import _oriented_facets
+        compared = 0
+        for _, gamma in polytope_corpus:
+            for m in range(1, gamma.dim + 1):
+                for face in gamma.faces(m):
+                    new = [(f.vertices, tuple(f.tangent_basis), sign)
+                           for f, sign in _oriented_facets(face)]
+                    old = [(f.vertices, tuple(basis), sign)
+                           for f, basis, sign in oref.oriented_facets(face)]
+                    assert sorted(new) == sorted(old)
+                    compared += 1
+        assert compared == 80
+
+    def test_cocycle_checks_use_the_hull_only(self, polytope_corpus, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("cocycle check left the V-form")
+
+        monkeypatch.setattr(VPolytope, "to_hpoly", forbidden)
+        monkeypatch.setattr(HPoly, "vertices", forbidden)
+        for module in (polyhedra, framed):
+            monkeypatch.setattr(module, "solve_lp", forbidden)
+        for _, gamma in polytope_corpus:
+            assert all(pascal_check(gamma, m) for m in range(gamma.dim + 1))
+            assert all(volume_recursion_check(gamma, m) and
+                       real_volume_recursion_check(gamma, m) for m in range(gamma.dim))
 
     def test_volume_recursion_square_and_triangle(self):
         assert volume_recursion_check(unit_square_c1(), 0)

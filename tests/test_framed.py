@@ -18,6 +18,7 @@ from etv.polyhedra import (HPoly, VPolytope, hyperplanes_of_cells,
 from etv.polynomials import Poly
 from etv.scalars import CRat
 from lattice_cells import coord, normal, plane_cell, planes, region
+import orientation_reference as oref
 
 
 def imag_axis_cell(weight=1):
@@ -202,6 +203,37 @@ class TestPositivity:
     def test_unit_positive_frame_full_space(self):
         gen = unit_positive_frame(((F(1), F(0)), (F(0), F(1))), 1)
         assert gen == Alt(0, {(): CRat(1)})
+
+    def test_unit_positive_frame_matches_kernel_on_corpus_cones(self, polytope_corpus):
+        from etv.exterior import max_complex_subspace
+        from etv.polyhedra import dual_cone
+        compared = 0
+        for _, gamma in polytope_corpus:
+            n = gamma.ambient // 2
+            for k in valid_k_range(gamma):
+                for face in gamma.faces(2 * n - k):
+                    basis = dual_cone(gamma, face).tangent_basis
+                    if max_complex_subspace(list(basis))[1]:
+                        with pytest.raises(ValueError):
+                            unit_positive_frame(basis, n)
+                        continue
+                    assert unit_positive_frame(basis, n) == \
+                        oref.unit_positive_frame(basis, n)
+                    compared += 1
+        assert compared == 141
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_unit_positive_frame_matches_kernel_on_subspaces(self, data):
+        from etv.exterior import max_complex_subspace
+        from etv.linalg import rref
+        n = data.draw(st.integers(1, 3))
+        k = data.draw(st.integers(n, 2 * n))
+        entry = st.integers(-2, 2).map(F)
+        vecs = data.draw(st.lists(st.tuples(*[entry] * (2 * n)), min_size=k, max_size=k))
+        basis = rref(vecs)[0]
+        assume(len(basis) == k and not max_complex_subspace(basis)[1])
+        assert unit_positive_frame(basis, n) == oref.unit_positive_frame(basis, n)
 
     def test_split_positive_trivial(self):
         p = imag_axis_etv()

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from etv import linalg
 from etv.dualfan import dual_fan_etp, valid_k_range
-from etv.linalg import (basis_change_sign, coords_in_basis, det, in_span,
-                        intersect_rowspaces, kernel_basis, rank, rref,
-                        scale_primitive, solve)
+from etv.linalg import (basis_change_sign, det, intersect_rowspaces, kernel_basis,
+                        rank, rref, scale_primitive, solve)
 from etv.scalars import CRat
+import orientation_reference as oref
+from orientation_reference import coords_in_basis, in_span
 
 rat = st.fractions(max_denominator=4, min_value=-4, max_value=4)
 
@@ -228,3 +229,70 @@ def test_field_path_returns_no_floats():
     assert _typed(d) == _typed(C(0, 2))
     for x in [x for row in red for x in row] + [d, d.re, d.im]:
         assert not isinstance(x, float)
+
+
+# ---------------------------------------------------------------------------
+# orientation signs at pivot columns against coordinates solved per vector
+
+def _sign_or_error(sign, frm, to):
+    try:
+        return sign(frm, to)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def basis_pairs(draw):
+    """(frm, to) in R^1-R^4: `to` possibly dependent, `frm` either a
+    combination of `to` or free vectors, sometimes one vector short."""
+    d = draw(st.integers(1, 4))
+    m = draw(st.integers(0, d))
+    to = draw(matrix(m, d))
+    if draw(st.booleans()):
+        mix = draw(matrix(m, m))
+        frm = [tuple(sum(c * v[j] for c, v in zip(row, to)) for j in range(d))
+               for row in mix]
+    else:
+        frm = draw(matrix(m, d))
+    if frm and draw(st.integers(0, 9)) == 0:
+        frm = frm[1:]
+    return [tuple(v) for v in frm], [tuple(v) for v in to]
+
+
+SIGN_ERRORS = [
+    ([(F(1), F(0))], [(F(1), F(0)), (F(0), F(1))], "bases of different sizes"),
+    ([(F(0), F(0), F(1))], [(F(1), F(0), F(0))], "vectors do not span the same space"),
+    ([(F(1), F(0)), (F(2), F(0))], [(F(1), F(0)), (F(0), F(1))],
+     "degenerate change of basis"),
+    ([(F(1), F(0)), (F(0), F(1))], [(F(1), F(0)), (F(2), F(0))],
+     "vectors do not span the same space"),
+    ([(F(1), F(0)), (F(3), F(0))], [(F(1), F(0)), (F(2), F(0))],
+     "degenerate change of basis"),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(basis_pairs())
+def test_basis_change_sign_matches_solved_coordinates(pair):
+    frm, to = pair
+    assert _sign_or_error(basis_change_sign, frm, to) == \
+        _sign_or_error(oref.basis_change_sign, frm, to)
+
+
+@pytest.mark.parametrize("frm, to, error", SIGN_ERRORS)
+def test_basis_change_sign_errors_match_reference(frm, to, error):
+    assert _sign_or_error(basis_change_sign, frm, to) == error == \
+        _sign_or_error(oref.basis_change_sign, frm, to)
+
+
+def test_basis_change_sign_solves_nothing(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("basis_change_sign solved a system")
+
+    monkeypatch.setattr(linalg, "solve", forbidden)
+    e = [tuple(F(int(i == j)) for j in range(3)) for i in range(3)]
+    assert basis_change_sign([e[1], e[0]], [e[0], e[1]]) == -1
+    assert basis_change_sign([(F(1), F(1), F(0)), e[1]], [e[0], e[1]]) == 1
+    assert basis_change_sign([e[0], e[2]], [(F(-2), F(0), F(1)), e[2]]) == -1
+    for frm, to, error in SIGN_ERRORS:
+        assert _sign_or_error(basis_change_sign, frm, to) == error

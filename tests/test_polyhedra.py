@@ -11,7 +11,8 @@ from etv.dualfan import dual_fan_etp, valid_k_range
 from etv.exterior import Alt
 from etv.monge import linearity_complex, support_function
 import hull_reference as ref
-from etv.linalg import coords_in_basis, det, rank
+from etv.linalg import det, rank
+from orientation_reference import coords_in_basis
 from etv.polyhedra import (HPoly, PolyhedralSet, VPolytope, common_refinement,
                            dual_cone, hyperplanes_of_cells, split_by_hyperplanes,
                            triangulate, volume, volume_multivector)
@@ -555,6 +556,7 @@ def _assert_triangulates(points):
 def _assert_matches_reference(points):
     """Lattice, volume, volume multivectors and triangulation of the point
     list (repeats and non-vertices allowed) against the reference."""
+    assert VPolytope.from_points(points).vertices == tuple(ref.extreme_points(points))
     poly = VPolytope(vertices=tuple(points))
     assert poly.face_vertex_sets() == ref.face_vertex_sets(list(points))
     assert poly.volume() == ref.volume_of_full_dim(ref.chart(list(points))[0])
@@ -569,9 +571,9 @@ def _assert_matches_reference(points):
 
 @st.composite
 def point_sets(draw):
-    """Up to 7 lattice points in R^2-R^4 on an affine image of Z^k, k <= d,
+    """Up to 7 lattice points in R^1-R^4 on an affine image of Z^k, k <= d,
     so flat sets are common, with repeats and non-vertices."""
-    d = draw(st.integers(2, 4))
+    d = draw(st.integers(1, 4))
     k = draw(st.integers(0, d))
     image = [draw(st.tuples(*[small] * d)) for _ in range(k)]
     shift = draw(st.tuples(*[small] * d))
@@ -611,6 +613,17 @@ class TestOneHullPerPointSet:
     @given(points=point_sets())
     def test_point_sets_match_reference(self, points):
         _assert_matches_reference(points)
+
+    def test_vertices_need_no_lp(self, polytope_corpus, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("vertices found by an LP")
+
+        monkeypatch.setattr(polyhedra, "solve_lp", forbidden)
+        for _, gamma in polytope_corpus:
+            v = gamma.vertices
+            mids = [tuple((a + b) / 2 for a, b in zip(p, q)) for p, q in zip(v, v[1:])]
+            assert VPolytope.from_points(list(v) + mids + list(v)).vertices == v
+            assert gamma.minkowski(gamma).vertices == gamma.scale(2).vertices
 
     def test_one_hull_per_call(self, monkeypatch):
         calls = [0]

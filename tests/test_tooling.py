@@ -1,3 +1,4 @@
+import ast
 import json
 import subprocess
 import sys
@@ -27,3 +28,30 @@ def test_tracer_summary_names_every_per_layer_metric():
                          text=True, check=True, timeout=120)
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     assert set(json.loads(out.stdout)) == {m["name"] for m in declared} - _NOT_FROM_TRACER
+
+
+def _library_nodes():
+    """(file name, node) for every syntax node of the library's modules."""
+    for path in sorted((ROOT / "src" / "etv").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            yield path.name, node
+
+
+def test_library_imports_only_the_standard_library():
+    for name, node in _library_nodes():
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        for module in modules:
+            assert module.split(".")[0] in sys.stdlib_module_names, \
+                f"{name}:{node.lineno} imports {module}"
+
+
+def test_library_has_no_float_constant():
+    for name, node in _library_nodes():
+        if isinstance(node, ast.Constant):
+            assert not isinstance(node.value, (float, complex)), \
+                f"{name}:{node.lineno} has the constant {node.value!r}"
