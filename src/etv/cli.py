@@ -77,8 +77,14 @@ def _guard_cells(x):
 
 def _load_framed(path):
     """The framed set of a file: every framed-set input is read here, so
-    ETV_MAX_CELLS holds on all of them."""
-    return _guard_cells(jsonio.framedset_from_json(_load(path)))
+    ETV_MAX_CELLS holds on all of them.  The cap is checked on the raw cell
+    list, before any cell is put in canonical form (which costs LPs); a
+    `cells` that is not a list is left to the parser."""
+    obj = _load(path)
+    cells = obj.get("cells") if isinstance(obj, dict) else None
+    if isinstance(cells, list) and len(cells) > _max_cells():
+        raise ResourceCap(f"cell count {len(cells)} exceeds ETV_MAX_CELLS")
+    return jsonio.framedset_from_json(obj)
 
 
 def _load_etv(path):

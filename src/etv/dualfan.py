@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exterior import (Alt, apply_J, max_complex_subspace,
-                       oriented_quotient_basis, pairing, rho, wedge)
+from .exterior import Alt, apply_J, complex_split, pairing, rho, wedge
 from .framed import EtvRep, FramedCell, FramedSet, canonicalize
 from .linalg import basis_change_sign, det, rref
 from .polyhedra import HPoly, VPolytope, dual_cone, volume_multivector
@@ -77,12 +76,10 @@ def dual_fan_frame(face: VPolytope, cone: HPoly, n: int) -> Alt:
     fbasis = list(face.tangent_basis)
     p_face = volume_multivector(face, fbasis)
     w = rho(p_face).scale(minus_i_power(m))
-    tangent = cone.tangent_basis
-    c_basis, degenerate = max_complex_subspace(list(tangent))
-    if degenerate:
+    split = complex_split(cone.tangent_basis)
+    if split.degenerate:
         raise ValueError("dual cone of a nondegenerate face cannot be degenerate")
-    quotient = oriented_quotient_basis(tangent, c_basis)
-    sign = symplectic_orientation_sign(quotient, fbasis)
+    sign = symplectic_orientation_sign(split.quotient_basis, fbasis)
     return w if sign > 0 else -w
 
 

@@ -17,6 +17,16 @@ Forms and multivectors share one sparse representation keyed by strictly
 increasing index tuples.  An odd form is a plain form together with the
 ordered basis (orientation token) it is expressed in; re-expressing in a
 basis of opposite orientation negates it.
+
+A frame on a cell with tangent space E is read through the complex split
+of E (`complex_split`), computed once per call: whether E is degenerate,
+the rref basis of its maximal complex subspace C_E = E & JE (the kernel of
+the annihilator A of E together with JA), which is already the standard
+complex basis (u1, J u1, ...), and a quotient basis of E/C_E oriented so
+that (quotient, complex basis) has the orientation of the tangent basis.
+A sign or a weight is one evaluation of the frame on the quotient basis
+(`quotient_density`); the cycle check evaluates the frame once on every
+subset of the quotient and complex bases (`frame_on_split`).
 """
 
 from __future__ import annotations
@@ -24,9 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
-from .linalg import (basis_change_sign, det, intersect_rowspaces, kernel_basis,
-                     rank, rref)
+from .linalg import basis_change_sign, det, det_at, kernel_basis, rref
 from .scalars import CRat
 
 RVec = tuple  # 2n rationals, (x1, y1, ..., xn, yn)
@@ -303,25 +313,23 @@ def restrict_rform(form: Alt, basis) -> Alt:
 
 
 # ---------------------------------------------------------------------------
-# complex subspaces and orientation bookkeeping
+# complex subspaces and the complex split of a tangent space
 
 def max_complex_subspace(basis) -> tuple[list, bool]:
     """Largest complex subspace of span(basis) and a degeneracy verdict.
 
     Returns (canonical basis of E & J(E), degenerate) where degenerate
     means the complex codimension of the subspace is smaller than the real
-    codimension of E.
+    codimension of E.  With A the annihilator of E, x lies in E & JE when
+    Ax = 0 and A J^-1 x = 0; J is a rotation, so the rows of A J^-1 are
+    the J a, and E & JE is the kernel of A and JA.
     """
     if not basis:
         return [], False
     ncols = len(basis[0])
-    n = ncols // 2
-    ebasis = rref(basis)[0]
-    jbasis = [apply_J(v) for v in ebasis]
-    inter = intersect_rowspaces(list(ebasis), jbasis, ncols)
-    codim_c = n - len(inter) // 2
-    codim_r = ncols - len(ebasis)
-    return list(inter), codim_c < codim_r
+    ann = kernel_basis(basis, ncols)
+    inter = kernel_basis(ann + [apply_J(a) for a in ann], ncols)
+    return inter, ncols // 2 - len(inter) // 2 < len(ann)
 
 
 def complex_annihilator(covectors, n):
@@ -329,46 +337,82 @@ def complex_annihilator(covectors, n):
     return kernel_basis([list(w) for w in covectors], n, one=CRat(1))
 
 
-def standard_complex_basis(c_basis) -> list:
-    """Real basis (u1, J u1, u2, J u2, ...) carrying the complex orientation."""
-    chosen: list = []
-    for v in c_basis:
-        if rank(chosen + [v]) > len(chosen):
-            chosen.append(v)
-            jv = apply_J(v)
-            if rank(chosen + [jv]) > len(chosen):
-                chosen.append(jv)
-    if len(chosen) != len(c_basis):
-        raise ValueError("input does not span a complex subspace")
-    return chosen
+class ComplexSplit(NamedTuple):
+    """A tangent space E cut into its maximal complex subspace C_E and a
+    complement, the quotient basis.
 
-
-def extend_basis(partial, pool) -> list:
-    """Vectors from pool extending partial to a basis of span(partial+pool)."""
-    chosen = list(partial)
-    added = []
-    for v in pool:
-        if rank(chosen + [v]) > len(chosen):
-            chosen.append(v)
-            added.append(v)
-    return added
-
-
-def oriented_quotient_basis(tangent_basis, c_basis) -> list:
-    """Complement Q of the complex part inside E, oriented so that
-    (Q, standard complex basis) matches the orientation of tangent_basis.
+    The rref basis of a complex subspace is already (u1, J u1, u2, J u2, ...):
+    its real pivots come in pairs (2q, 2q + 1), and J of the row with pivot
+    2q is the row with pivot 2q + 1, so it carries the complex orientation.
+    The quotient basis is the tangent vectors outside the span of C_E and of
+    the tangent vectors before them, with its first vector negated when
+    needed so that (quotient, complex basis) has the orientation of the
+    tangent basis.  A degenerate E has no quotient basis.
     """
-    c_std = standard_complex_basis(c_basis) if c_basis else []
-    comp = extend_basis(c_std, tangent_basis)
-    if comp:
-        sign = basis_change_sign(list(comp) + c_std, list(tangent_basis))
-        if sign < 0:
-            comp[0] = tuple(-x for x in comp[0])
-    else:
-        sign = basis_change_sign(c_std, list(tangent_basis)) if c_std else 1
-        if sign < 0:
+    degenerate: bool
+    complex_basis: list
+    quotient_basis: list
+
+
+def complex_split(tangent_basis) -> ComplexSplit:
+    """The complex split of span(tangent_basis), oriented by that basis."""
+    tangent = list(tangent_basis)
+    if not tangent:
+        return ComplexSplit(False, [], [])
+    c_basis, degenerate = max_complex_subspace(tangent)
+    if degenerate:
+        return ComplexSplit(True, c_basis, [])
+    pivots = rref(tangent)[1]
+    if len(pivots) != len(tangent):
+        raise ValueError("tangent vectors are dependent")
+    if not c_basis:
+        return ComplexSplit(False, [], tangent)
+    # the pivot columns of the transpose are the rows outside the span of
+    # the rows before them
+    keep = rref(list(zip(*(c_basis + tangent))))[1][len(c_basis):]
+    quotient = [tangent[i - len(c_basis)] for i in keep]
+    if det_at(quotient + c_basis, pivots) * det_at(tangent, pivots) < 0:
+        if not quotient:
             raise ValueError("complex subspace orientation conflicts with token")
-    return comp
+        quotient[0] = tuple(-x for x in quotient[0])
+    return ComplexSplit(False, c_basis, quotient)
+
+
+def quotient_density(form: Alt, split: ComplexSplit) -> CRat:
+    """Value of a degree-(dim E - dim C_E) form on the oriented quotient basis."""
+    if split.degenerate:
+        raise ValueError("quotient pushforward on a degenerate subspace")
+    if form.degree != len(split.quotient_basis):
+        raise ValueError("form degree does not match quotient dimension")
+    return evaluate_cform(form, split.quotient_basis)
+
+
+def density_sign(density: CRat) -> int:
+    """+1 / -1 for a nonzero real density, 0 otherwise."""
+    if density.im != 0 or density.re == 0:
+        return 0
+    return 1 if density.re > 0 else -1
+
+
+def frame_on_split(form: Alt, split: ComplexSplit) -> tuple[bool, bool, CRat]:
+    """(real on E, zero on C_E, quotient density) of a form, in one pass.
+
+    The form is evaluated once on every m-subset of the quotient basis
+    followed by the complex basis, a basis of E.  Realness of the pullback
+    to E does not depend on the real basis its values are taken in; the
+    subsets that meet the complex basis are those the form must kill; the
+    first subset is the quotient basis itself.
+    """
+    density = quotient_density(form, split)
+    pool = split.quotient_basis + split.complex_basis
+    real, kills = density.im == 0, True
+    subsets = combinations(range(len(pool)), form.degree)
+    next(subsets)  # the quotient basis itself
+    for key in subsets:
+        val = evaluate_cform(form, [pool[i] for i in key])
+        real = real and val.im == 0
+        kills = kills and val.is_zero()
+    return real, kills, density
 
 
 @dataclass(frozen=True)
@@ -386,30 +430,8 @@ def quotient_pushforward(form: Alt, tangent_basis) -> Pushforward:
     The form is taken at the orientation of tangent_basis; the quotient is
     oriented so that (quotient, complex-standard) recovers that orientation.
     """
-    c_basis, degenerate = max_complex_subspace(list(tangent_basis))
-    if degenerate:
-        raise ValueError("quotient pushforward on a degenerate subspace")
-    comp = oriented_quotient_basis(tangent_basis, c_basis)
-    if form.degree != len(comp):
-        raise ValueError("form degree does not match quotient dimension")
-    kills = True
-    if c_basis:
-        c_std = standard_complex_basis(c_basis)
-        pool = list(comp) + list(c_std)
-        for key in combinations(range(len(pool)), form.degree):
-            if max(key, default=-1) < len(comp):
-                continue  # tuple avoiding the complex part
-            if not evaluate_cform(form, [pool[i] for i in key]).is_zero():
-                kills = False
-                break
-    density = evaluate_cform(form, comp)
-    if density.is_zero():
-        sign = 0
-    elif density.im != 0:
-        sign = 0
-    else:
-        sign = 1 if density.re > 0 else -1
-    return Pushforward(density=density, sign=sign,
+    _, kills, density = frame_on_split(form, complex_split(tangent_basis))
+    return Pushforward(density=density, sign=density_sign(density),
                        real=density.im == 0, kills_complex=kills)
 
 

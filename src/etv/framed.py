@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .exterior import (Alt, ccov_form, complex_annihilator, complexify,
-                       evaluate_cform, max_complex_subspace, quotient_pushforward,
-                       restrict, wedge_all)
+from .exterior import (Alt, ccov_form, complex_annihilator, complex_split,
+                       complexify, density_sign, evaluate_cform, frame_on_split,
+                       quotient_density, wedge_all)
 from .linalg import basis_change_sign, det, det_at
 from .lp import OPTIMAL, solve_lp
 from .polyhedra import (HPoly, PolyhedralSet, common_refinement, face_to_face,
@@ -148,15 +148,13 @@ def is_etp(x: FramedSet) -> ValidityReport:
             continue
         if c.frame.degree != deg:
             return ValidityReport(False, f"cell {i}: frame degree {c.frame.degree} != {deg}")
-        basis = c.poly.tangent_basis
-        _, degenerate = max_complex_subspace(list(basis))
-        if degenerate:
+        split = complex_split(c.poly.tangent_basis)
+        if split.degenerate:
             return ValidityReport(False, f"cell {i}: degenerate cell with nonzero frame")
-        restricted, real = restrict(c.frame, list(basis))
+        real, kills, _ = frame_on_split(c.frame, split)
         if not real:
             return ValidityReport(False, f"cell {i}: restriction not real-valued")
-        pf = quotient_pushforward(c.frame, basis)
-        if not pf.kills_complex:
+        if not kills:
             return ValidityReport(False,
                                   f"cell {i}: frame does not vanish on the complex subspace")
     bd = boundary(x)
@@ -171,15 +169,15 @@ def is_etp(x: FramedSet) -> ValidityReport:
 
 def cell_sign(frame: Alt, tangent_basis) -> int:
     """Sign of the quotient volume form: +1, -1, or 0."""
-    return quotient_pushforward(frame, tangent_basis).sign
+    return density_sign(quotient_density(frame, complex_split(tangent_basis)))
 
 
 def cell_weight(frame: Alt, tangent_basis) -> Fraction:
     """Density of the frame against the unit positive frame of the subspace."""
-    pf = quotient_pushforward(frame, tangent_basis)
-    if pf.density.im != 0:
+    density = quotient_density(frame, complex_split(tangent_basis))
+    if density.im != 0:
         raise ValueError("weight of a non-real frame")
-    return pf.density.re
+    return density.re
 
 
 def unit_positive_frame(tangent_basis, n: int) -> Alt:
@@ -191,12 +189,12 @@ def unit_positive_frame(tangent_basis, n: int) -> Alt:
     that subspace, so on E it is a multiple of the quotient volume form.
     Dividing by its quotient density gives the representative of density one.
     """
-    c_basis, degenerate = max_complex_subspace(list(tangent_basis))
-    if degenerate:
+    split = complex_split(tangent_basis)
+    if split.degenerate:
         raise ValueError("no positive frame: subspace is degenerate")
-    form = wedge_all(ccov_form(w) for w in
-                     complex_annihilator([complexify(v) for v in c_basis], n))
-    return form.scale(CRat(1) / quotient_pushforward(form, tangent_basis).density)
+    form = wedge_all(ccov_form(w) for w in complex_annihilator(
+        [complexify(v) for v in split.complex_basis], n))
+    return form.scale(CRat(1) / quotient_density(form, split))
 
 
 def is_positive(p) -> bool:

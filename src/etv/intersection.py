@@ -16,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exterior import Alt, max_complex_subspace, quotient_pushforward, restrict
+from .exterior import (Alt, complex_split, density_sign, quotient_density, restrict,
+                       wedge)
 from .framed import (EtvRep, FramedCell, FramedSet, _framed, _sum_cells, add,
                      canonicalize, cell_sign, is_positive, negate, split_positive,
                      zero_etv)
@@ -72,23 +73,21 @@ def transversal(x, y) -> bool:
 # ---------------------------------------------------------------------------
 # transversal intersection
 
-def _wedge_frame(fa: FramedCell, fb: FramedCell, cell: HPoly) -> Alt:
-    """Frame of an intersection cell: the wedge, signed by the positivity rule."""
-    from .exterior import wedge
-    raw = wedge(fa.frame, fb.frame)
+def _wedge_frame(frame_a: Alt, frame_b: Alt, target: int, cell: HPoly) -> Alt:
+    """Frame of an intersection cell: the wedge, signed so that its quotient
+    sign is `target`, the product of the signs of the two parent cells."""
+    raw = wedge(frame_a, frame_b)
     tangent = cell.tangent_basis
-    _, degenerate = max_complex_subspace(list(tangent))
-    if degenerate:
+    split = complex_split(tangent)
+    if split.degenerate:
         restricted, _ = restrict(raw, list(tangent))
         if not restricted.is_zero():
             raise ValueError("nonzero frame restriction on a degenerate cell")
         return Alt(raw.degree)
-    pf = quotient_pushforward(raw, tangent)
-    if pf.sign == 0:
+    sign = density_sign(quotient_density(raw, split))
+    if sign == 0:
         return Alt(raw.degree)
-    target = cell_sign(fa.frame, fa.poly.tangent_basis) * \
-        cell_sign(fb.frame, fb.poly.tangent_basis)
-    return raw if pf.sign == target else -raw
+    return raw if sign == target else -raw
 
 
 def transversal_intersection(x, y) -> FramedSet:
@@ -99,12 +98,14 @@ def transversal_intersection(x, y) -> FramedSet:
     k_out = xf.k + yf.k - 2 * n
     if k_out < n:
         raise ValueError("dimension of the intersection falls below n")
+    xs = [(c, cell_sign(c.frame, c.poly.tangent_basis)) for c in xf.support_cells()]
+    ys = [(c, cell_sign(c.frame, c.poly.tangent_basis)) for c in yf.support_cells()]
     pairs = []
-    for a in xf.support_cells():
-        for b in yf.support_cells():
+    for a, sa in xs:
+        for b, sb in ys:
             inter = a.poly.intersect(b.poly).canonical()
             if not inter.is_empty() and inter.dim == k_out:
-                pairs.append((inter, _wedge_frame(a, b, inter)))
+                pairs.append((inter, _wedge_frame(a.frame, b.frame, sa * sb, inter)))
     return _sum_cells(n, k_out, pairs)
 
 

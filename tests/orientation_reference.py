@@ -1,18 +1,21 @@
-"""Reference coordinates, orientation signs, face facets and unit frames,
-each by its first construction: a solve per vector, a round trip through
-H-form, and a kernel over all m-subsets of the tangent basis.
+"""Reference coordinates, orientation signs, face facets, unit frames and
+complex splits, each by its first construction: a solve per vector, a round
+trip through H-form, a kernel over all m-subsets of the tangent basis, and
+a rank call per vector for the complex and quotient bases.
 
-`etv.linalg.basis_change_sign`, `etv.dualfan._oriented_facets` and
-`etv.framed.unit_positive_frame` replaced these by determinants at pivot
-columns, the facets of the one hull, and a wedge of complex annihilators;
-the tests compare the two.
+`etv.linalg.basis_change_sign`, `etv.dualfan._oriented_facets`,
+`etv.framed.unit_positive_frame` and `etv.exterior.complex_split` replaced
+these by determinants at pivot columns, the facets of the one hull, a wedge
+of complex annihilators, and one split per tangent space whose complex
+basis is the rref of E & JE; the tests compare the two.
 """
 
 from itertools import combinations
 
-from etv.exterior import Alt, evaluate_cform, quotient_pushforward
-from etv.framed import induced_facet_sign
-from etv.linalg import det, kernel_basis, solve
+from etv.exterior import (Alt, Pushforward, apply_J, evaluate_cform,
+                          quotient_pushforward, restrict)
+from etv.framed import ValidityReport, boundary, induced_facet_sign
+from etv.linalg import det, intersect_rowspaces, kernel_basis, rank, rref, solve
 from etv.polyhedra import VPolytope
 from etv.scalars import CRat
 
@@ -91,3 +94,104 @@ def unit_positive_frame(tangent_basis, n: int) -> Alt:
         raise ValueError("no positive frame: subspace is degenerate")
     form, density = candidates[0]
     return form.scale(CRat(1 / density))
+
+
+def max_complex_subspace(basis):
+    """(canonical basis of E & JE, degenerate) by intersecting the row
+    spaces of E and JE."""
+    if not basis:
+        return [], False
+    ncols = len(basis[0])
+    ebasis = rref(basis)[0]
+    inter = intersect_rowspaces(list(ebasis), [apply_J(v) for v in ebasis], ncols)
+    return list(inter), ncols // 2 - len(inter) // 2 < ncols - len(ebasis)
+
+
+def standard_complex_basis(c_basis) -> list:
+    """Real basis (u1, J u1, u2, J u2, ...) of a complex subspace, picked
+    greedily from c_basis by rank calls."""
+    chosen: list = []
+    for v in c_basis:
+        if rank(chosen + [v]) > len(chosen):
+            chosen.append(v)
+            jv = apply_J(v)
+            if rank(chosen + [jv]) > len(chosen):
+                chosen.append(jv)
+    if len(chosen) != len(c_basis):
+        raise ValueError("input does not span a complex subspace")
+    return chosen
+
+
+def extend_basis(partial, pool) -> list:
+    """Vectors from pool extending partial to a basis of span(partial+pool)."""
+    chosen = list(partial)
+    added = []
+    for v in pool:
+        if rank(chosen + [v]) > len(chosen):
+            chosen.append(v)
+            added.append(v)
+    return added
+
+
+def oriented_quotient_basis(tangent_basis, c_basis) -> list:
+    """Complement of the complex part inside E, oriented so that (quotient,
+    standard complex basis) has the orientation of tangent_basis."""
+    c_std = standard_complex_basis(c_basis) if c_basis else []
+    comp = extend_basis(c_std, tangent_basis)
+    if comp:
+        sign = basis_change_sign(list(comp) + c_std, list(tangent_basis))
+        if sign < 0:
+            comp[0] = tuple(-x for x in comp[0])
+    else:
+        sign = basis_change_sign(c_std, list(tangent_basis)) if c_std else 1
+        if sign < 0:
+            raise ValueError("complex subspace orientation conflicts with token")
+    return comp
+
+
+def pushforward(form: Alt, tangent_basis) -> Pushforward:
+    """`quotient_pushforward` with its own split and a kill loop that stops
+    at the first nonzero value on a subset meeting the complex part."""
+    c_basis, degenerate = max_complex_subspace(list(tangent_basis))
+    if degenerate:
+        raise ValueError("quotient pushforward on a degenerate subspace")
+    comp = oriented_quotient_basis(tangent_basis, c_basis)
+    if form.degree != len(comp):
+        raise ValueError("form degree does not match quotient dimension")
+    kills = True
+    if c_basis:
+        pool = list(comp) + standard_complex_basis(c_basis)
+        for key in combinations(range(len(pool)), form.degree):
+            if max(key, default=-1) < len(comp):
+                continue
+            if not evaluate_cform(form, [pool[i] for i in key]).is_zero():
+                kills = False
+                break
+    density = evaluate_cform(form, comp)
+    sign = 0 if density.is_zero() or density.im != 0 else (1 if density.re > 0 else -1)
+    return Pushforward(density=density, sign=sign, real=density.im == 0,
+                       kills_complex=kills)
+
+
+def is_etp(x) -> ValidityReport:
+    """The cycle check with realness from `restrict` on the tangent basis and
+    the kill check from the reference pushforward."""
+    if x.k < x.n:
+        raise ValueError("dimension below n cannot carry a cycle structure")
+    deg = 2 * x.n - x.k
+    for i, c in enumerate(x.cells):
+        if c.frame.is_zero():
+            continue
+        if c.frame.degree != deg:
+            return ValidityReport(False, f"cell {i}: frame degree {c.frame.degree} != {deg}")
+        basis = c.poly.tangent_basis
+        if max_complex_subspace(list(basis))[1]:
+            return ValidityReport(False, f"cell {i}: degenerate cell with nonzero frame")
+        if not restrict(c.frame, list(basis))[1]:
+            return ValidityReport(False, f"cell {i}: restriction not real-valued")
+        if not pushforward(c.frame, basis).kills_complex:
+            return ValidityReport(False,
+                                  f"cell {i}: frame does not vanish on the complex subspace")
+    if boundary(x).support_cells():
+        return ValidityReport(False, "boundary support nonempty")
+    return ValidityReport(True)

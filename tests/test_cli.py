@@ -8,7 +8,7 @@ from etv.cli import main
 from etv.dualfan import dual_fan_etp
 from etv.framed import canonicalize, equivalent
 from etv.monge import PLFunction, affine_zero, AffineFunc
-from etv.polyhedra import VPolytope
+from etv.polyhedra import HPoly, VPolytope
 from etv.scalars import CRat
 
 
@@ -183,6 +183,23 @@ class TestCommands:
         assert code == 3 and out["status"] == "resource-cap"
         monkeypatch.setenv("ETV_MAX_CELLS", str(cells))
         assert run(capsys, command, *args)[0] == 0
+
+    def test_cell_cap_precedes_canonical_form(self, capsys, tmp_path, monkeypatch,
+                                              square_file):
+        code, fan_out = run(capsys, "dual-fan", "--polytope", square_file, "--k", "2")
+        blob = fan_out["result"]
+        over = write(tmp_path, "x.json", blob)
+        not_a_list = write(tmp_path, "y.json", dict(blob, cells={"geom": {}}))
+        monkeypatch.setenv("ETV_MAX_CELLS", str(len(blob["cells"]) - 1))
+
+        def refuse(self):
+            raise AssertionError("a cell was put in canonical form before the cap")
+
+        monkeypatch.setattr(HPoly, "canonical", refuse)
+        code, out = run(capsys, "validate-etp", over)
+        assert code == 3 and out["status"] == "resource-cap"
+        code, out = run(capsys, "validate-etp", not_a_list)
+        assert code == 2 and out["status"] == "parse-error"
 
     def test_degeneracy_command(self, capsys, tmp_path):
         fam = {"n": 2, "sets": [
