@@ -9,6 +9,10 @@ exactly when that sum is nonzero.  Shifts are taken on the moment curve
 (t, t^2, ..., t^{2n}): a touching face pair that is not transversal only
 blocks shifts in a proper affine subspace, which the curve meets in at
 most 2n points, so all but finitely many t are certified transversal.
+
+Transversality itself is one rank test per minimal face of each touching
+pair of cells: the smallest faces of the two cells at that minimal face
+decide it for every pair of faces that meet (see `transversal`).
 """
 
 from __future__ import annotations
@@ -30,43 +34,42 @@ _ZERO = Fraction(0)
 # ---------------------------------------------------------------------------
 # transversality
 
-def _spaces_transversal(a: HPoly, b: HPoly) -> bool:
-    rows = list(a.tangent_basis) + list(b.tangent_basis)
-    return rank(rows) == a.ambient
-
-
-def _pair_transversal(a: HPoly, b: HPoly, memo) -> bool:
-    key = (a.key, b.key)
-    if key in memo:
-        return memo[key]
-    result = True
-    inter = a.intersect(b).canonical()
-    if not inter.is_empty():
-        if not _spaces_transversal(a, b):
-            result = False
-        else:
-            for fa, _ in a.facets_with_normals():
-                if not _pair_transversal(fa, b, memo):
-                    result = False
-                    break
-            if result:
-                for fb, _ in b.facets_with_normals():
-                    if not _pair_transversal(a, fb, memo):
-                        result = False
-                        break
-    memo[key] = result
-    return result
-
-
 def transversal(x, y) -> bool:
-    """Every pair of touching faces has tangent spaces summing to R^{2n}."""
+    """Every pair of touching faces has tangent spaces summing to R^{2n}.
+
+    Decided by one rank test per minimal face H0 of each a & b, for support
+    cells a of x and b of y.  H0 is an affine subspace in a, on which each
+    row of a is bounded and so constant: a row tight at one point p of H0
+    is tight on all of H0.  So the smallest face F_a(H0) of a containing H0
+    is F_a(p), cut out of a by the rows tight at p, and p lies in its
+    relative interior, so its tangent space is the kernel of those rows and
+    of the equalities of a.  T F_a(H0) + T F_b(H0) is R^{2n} exactly when
+    the row spaces of the two systems meet only in 0.  This decides
+    transversality:
+
+    - if faces F of a and G of b meet at a point q, then q lies in the
+      relative interior of a face H of a & b, and H contains a minimal face
+      H0; so F contains F_a(q) = F_a(H), which contains F_a(H0), and
+      likewise for G, so T F + T G contains T F_a(H0) + T F_b(H0);
+    - conversely F_a(H0) and F_b(H0) are faces that touch, at H0.
+
+    A minimal face has the dimension of the lineality space of a & b,
+    ambient minus the rank of all its rows, and its point is a linear
+    solve.  For fans a & b is a cone whose one minimal face is that space,
+    so each pair of cells costs one rank test.
+    """
     xf = _framed(x)
     yf = _framed(y)
-    memo: dict = {}
     for a in xf.support_cells():
         for b in yf.support_cells():
-            if not _pair_transversal(a.poly, b.poly, memo):
-                return False
+            inter = a.poly.intersect(b.poly).canonical()  # no faces when empty
+            lineality = inter.ambient - rank([r for r, _ in inter.eq + inter.ineq])
+            for h0 in inter.faces(lineality):
+                p = h0.relint_point()
+                rows_a = [r for r, _ in a.poly.eq + a.poly.tight_at(p)]
+                rows_b = [r for r, _ in b.poly.eq + b.poly.tight_at(p)]
+                if rank(rows_a) + rank(rows_b) != rank(rows_a + rows_b):
+                    return False
     return True
 
 
@@ -181,14 +184,8 @@ def stable_support(x, y, seed: int = 0) -> list:
     for a in xf.support_cells():
         for b in yf.support_cells():
             inter = a.poly.intersect(b.poly).canonical()
-            if inter.is_empty() or inter.dim < k_out:
-                continue
-            if inter.dim == k_out:
-                candidates.setdefault(inter.key, (inter, (a.poly, b.poly)))
-            else:
-                for face in inter.all_faces():
-                    if face.dim == k_out:
-                        candidates.setdefault(face.key, (face, (a.poly, b.poly)))
+            for face in inter.faces(k_out):
+                candidates.setdefault(face.key, (face, (a.poly, b.poly)))
     out = []
     for cand, parents in candidates.values():
         p = cand.relint_point()

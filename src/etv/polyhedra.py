@@ -41,7 +41,9 @@ alone and only the redundancy test against the other inequalities is run.
 Facets of a canonical cell skip the front half of the canonical form: each
 row of the cell cuts out a nonempty facet whose affine hull is the cell's
 hull plus that row (see `HPoly.facets_with_normals`), so the facet goes
-straight to `_canonical_from_hull` and bypasses the memo.
+straight to `_canonical_from_hull` and bypasses the memo.  `HPoly.faces`
+walks these facets down to a given dimension: vertices, stable candidates
+and the minimal faces behind transversality all come from that one descent.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ class HPoly:
     """Rational H-polyhedron {z : eq. z = rhs, ineq . z <= rhs}."""
 
     __slots__ = ("ambient", "eq", "ineq", "_canonical", "_empty", "_tangent",
-                 "_relint", "_key", "_facets", "_vertices")
+                 "_relint", "_key", "_facets")
 
     def __init__(self, ambient: int, eq=(), ineq=(), _canonical=False):
         self.ambient = ambient
@@ -95,7 +97,6 @@ class HPoly:
         self._relint = None
         self._key = None
         self._facets = None
-        self._vertices = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -297,27 +298,35 @@ class HPoly:
                             for i, row in enumerate(rows)]
         return self._facets
 
-    def all_faces(self):
-        """All nonempty faces of all dimensions (self included), deduped."""
-        seen = {self.key: self}
-        frontier = [self]
-        while frontier:
-            nxt = []
-            for cell in frontier:
-                for f, _ in cell.facets_with_normals():
-                    if f.key not in seen:
-                        seen[f.key] = f
-                        nxt.append(f)
-            frontier = nxt
-        return list(seen.values())
+    def faces(self, d: int):
+        """The nonempty faces of dimension d, deduplicated by key: the one face
+        enumeration of an H-polyhedron.
+
+        Walks down from the cell by `facets_with_normals`, one level per
+        dimension.  Every facet of a canonical cell has dimension one less
+        (see there), and every face of dimension d below the cell's is a
+        facet of a face of dimension d + 1, so level d is all of them.
+        """
+        if not self._canonical:
+            raise ValueError("faces of non-canonical polyhedron")
+        if not 0 <= d <= self.dim:
+            return []
+        level = {self.key: self}
+        for _ in range(self.dim - d):
+            level = {f.key: f for cell in level.values()
+                     for f, _ in cell.facets_with_normals()}
+        return list(level.values())
+
+    def tight_at(self, p):
+        """The inequality rows that hold with equality at p."""
+        return tuple((a, b) for a, b in self.ineq
+                     if sum(x * y for x, y in zip(a, p)) == b)
 
     def smallest_face_at(self, p) -> "HPoly":
         """The face whose relative interior contains p."""
         if not self.contains_point(p):
             raise ValueError("point not in polyhedron")
-        tight = [(a, b) for a, b in self.ineq
-                 if sum(x * y for x, y in zip(a, p)) == b]
-        return HPoly(self.ambient, self.eq + tuple(tight), self.ineq).canonical()
+        return HPoly(self.ambient, self.eq + self.tight_at(p), self.ineq).canonical()
 
     def recession_cone(self) -> "HPoly":
         eq = tuple((a, _ZERO) for a, _ in self.eq)
@@ -329,8 +338,7 @@ class HPoly:
         if not self.contains_point(p):
             raise ValueError("localization point not in cell")
         eq = tuple((a, _ZERO) for a, _ in self.eq)
-        ineq = tuple((a, _ZERO) for a, b in self.ineq
-                     if sum(x * y for x, y in zip(a, p)) == b)
+        ineq = tuple((a, _ZERO) for a, _ in self.tight_at(p))
         return HPoly(self.ambient, eq, ineq).canonical()
 
     def affine_hull(self) -> "HPoly":
@@ -343,51 +351,15 @@ class HPoly:
         zero = tuple([_ZERO] * self.ambient)
         return self.contains_point(zero) and self.recession_cone().same_set(self)
 
-    # -- vertex enumeration (bounded cells) ------------------------------------
-
     def vertices(self):
-        """Vertices of a bounded cell, enumerated in tangent coordinates."""
-        if self._vertices is not None:
-            return self._vertices
+        """Vertices of a bounded cell, sorted: its faces of dimension 0."""
         if not self._canonical:
             raise ValueError("vertices of non-canonical polyhedron")
         if self.is_empty():
             return []
         if not self.is_bounded():
             raise ValueError("vertex enumeration needs a bounded cell")
-        d = self.dim
-        base = solve([a for a, _ in self.eq], [b for _, b in self.eq]) \
-            if self.eq else tuple([_ZERO] * self.ambient)
-        if d == 0:
-            self._vertices = [tuple(base)]
-            return self._vertices
-        basis = self.tangent_basis
-        # constraints in t-space: a.(base + B^T t) <= b
-        cons = []
-        for a, b in self.ineq:
-            row = tuple(sum(x * y for x, y in zip(a, bv)) for bv in basis)
-            rhs = b - sum(x * y for x, y in zip(a, base))
-            cons.append((row, rhs))
-        verts = {}
-        for idx in combinations(range(len(cons)), d):
-            rows = [cons[i][0] for i in idx]
-            rhs = [cons[i][1] for i in idx]
-            if rank(rows) < d:
-                continue
-            t = solve(rows, rhs)
-            if t is None:
-                continue
-            if all(sum(x * y for x, y in zip(row, t)) <= r for row, r in cons):
-                verts[t] = None
-        out = []
-        for t in verts:
-            pt = list(base)
-            for c, bv in zip(t, basis):
-                pt = [p + c * x for p, x in zip(pt, bv)]
-            out.append(tuple(pt))
-        out.sort()
-        self._vertices = out
-        return out
+        return sorted(f.relint_point() for f in self.faces(0))
 
     def __repr__(self):
         if self._empty:
@@ -401,7 +373,7 @@ def _canonical_from_hull(ambient, eqs, ineqs) -> HPoly:
 
     Takes the rref of the hull, reduces the inequalities modulo it and drops
     the ones implied by the others, with one LP per row left after the
-    reduction.
+    reduction (none when one row is left).
     """
     if eqs:
         red, pivots = rref([tuple(a) + (b,) for a, b in eqs])
@@ -426,7 +398,8 @@ def _canonical_from_hull(ambient, eqs, ineqs) -> HPoly:
     eqs = tuple(eqs)
     irredundant = list(ineqs)
     i = 0
-    while i < len(irredundant):
+    # a lone row is nonzero modulo the hull, so it is unbounded above on it
+    while len(irredundant) > 1 and i < len(irredundant):
         rest = irredundant[:i] + irredundant[i + 1:]
         a, b = irredundant[i]
         res = HPoly(ambient, eqs, tuple(rest)).maximize(a)

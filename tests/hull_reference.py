@@ -3,13 +3,16 @@ per point for the vertices, and a new chart and a new hull for every face,
 with coordinates solved point by point.
 
 These are the constructions that `etv.polyhedra` replaced by one hull per
-point set; the tests compare the two.
+point set, and the enumeration of vertices of an H-polyhedron by choices
+of rows that `HPoly.vertices` replaced by the faces of dimension 0; the
+tests compare the two.
 """
 
 from fractions import Fraction as F
+from itertools import combinations
 from math import factorial
 
-from etv.linalg import det, rank, rref
+from etv.linalg import det, rank, rref, solve
 from etv.lp import OPTIMAL, solve_lp
 from etv.polyhedra import _hull_facets
 from orientation_reference import coords_in_basis
@@ -43,6 +46,30 @@ def extreme_points(points):
         if res.status != OPTIMAL:
             out.append(p)
     return out
+
+
+def cell_vertices(cell):
+    """Vertices of a bounded canonical HPoly, sorted: every choice of dim
+    rows in tangent coordinates that has a unique solution inside the cell."""
+    d = cell.dim
+    base = solve([a for a, _ in cell.eq], [b for _, b in cell.eq]) \
+        if cell.eq else tuple([F(0)] * cell.ambient)
+    if d == 0:
+        return [tuple(base)]
+    basis = cell.tangent_basis
+    # constraints in t-space: a.(base + B^T t) <= b
+    cons = [(tuple(sum(x * y for x, y in zip(a, bv)) for bv in basis),
+             b - sum(x * y for x, y in zip(a, base))) for a, b in cell.ineq]
+    verts = set()
+    for idx in combinations(range(len(cons)), d):
+        rows = [cons[i][0] for i in idx]
+        if rank(rows) < d:
+            continue
+        t = solve(rows, [cons[i][1] for i in idx])
+        if t is not None and all(sum(x * y for x, y in zip(row, t)) <= r
+                                 for row, r in cons):
+            verts.add(_lift(t, base, basis))
+    return sorted(verts)
 
 
 def chart(points):

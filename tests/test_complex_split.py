@@ -89,7 +89,10 @@ class TestCorpusFans:
                     continue
                 for bad in _corrupted(c.frame, rep.n):
                     assert_same_split(c.poly.tangent_basis, bad)
-                    kills.add(quotient_pushforward(bad, c.poly.tangent_basis).kills_complex)
+                    kill = quotient_pushforward(bad, c.poly.tangent_basis).kills_complex
+                    # so `is_etp` needs no kill check of its own
+                    assert kill or not exterior.restrict(bad, list(c.poly.tangent_basis))[1]
+                    kills.add(kill)
                     cells = list(rep.cells)
                     cells[i] = FramedCell(c.poly, bad)
                     x = FramedSet(rep.n, rep.k, cells)

@@ -1,8 +1,11 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from etv.dualfan import dual_fan_etp
+import transversal_reference as tref
+from etv.dualfan import dual_fan_etp, valid_k_range
 from etv.exterior import Alt
 from etv.framed import (FramedCell, FramedSet, add, canonicalize, cell_weight,
                         equivalent, is_etp, is_positive, negate, translate,
@@ -46,6 +49,15 @@ def hyperplane_y1(n=2, weight=1):
     return canonicalize(FramedSet(n, 2 * n - 1, [FramedCell(cell, frame)]))
 
 
+def corpus_fans(polytope_corpus):
+    """Dual fans of the corpus at every valid grade, by (name, grade), and
+    the list of them in C^n for n = 1, 2."""
+    named = {(name, k): dual_fan_etp(g, k, validate=False).framed_rep()
+             for name, g in polytope_corpus for k in valid_k_range(g)}
+    by_n = {n: [f for f in named.values() if f.n == n] for n in (1, 2)}
+    return named, by_n
+
+
 def triangle_fan():
     """Dual-fan hypersurface of conv{0, e1*, e2*} in the dual of C^2."""
     tri = VPolytope.from_points([pt(0, 0, 0, 0), pt(1, 0, 0, 0), pt(0, 0, 1, 0)])
@@ -58,6 +70,36 @@ class TestTransversal:
 
     def test_equal_hyperplanes(self):
         assert not transversal(hyperplane_x1(), hyperplane_x1())
+
+    def test_matches_face_pair_recursion(self, polytope_corpus):
+        named, by_n = corpus_fans(polytope_corpus)
+        verdicts = []
+
+        def check(x, y):
+            got = transversal(x, y)
+            assert got == tref.transversal(x, y)
+            verdicts.append(got)
+            return got
+
+        square = named[("square", 1)]  # the four coordinate half-axes
+        assert not check(named[("hexagon", 2)], named[("hexagon", 2)])
+        assert not check(square, square)
+        assert not check(square, square.translated(pt(1, 0)))  # apex on a ray
+        assert check(square, square.translated(pt(1, 1)))
+        assert check(named[("seg01", 1)], named[("seg-imag", 1)])
+        del verdicts[:]
+
+        @settings(max_examples=60, deadline=None)
+        @given(data=st.data())
+        def fans_and_translates(data):
+            n = data.draw(st.sampled_from([1, 2]))
+            x = data.draw(st.sampled_from(by_n[n]))
+            y = data.draw(st.sampled_from(by_n[n]))
+            shift = data.draw(st.tuples(*[st.integers(-2, 2)] * (2 * n)))
+            check(x, y.translated(pt(*shift)))
+
+        fans_and_translates()
+        assert set(verdicts) == {True, False}
 
     def test_real_transversal_complex_degenerate(self):
         assert transversal(hyperplane_x1(), hyperplane_y1())

@@ -513,8 +513,63 @@ class TestFacetsFromHull:
             hexagon_lps = lp_calls[0]
         assert len(cube_facets) == 6 and all(f.dim == 2 for f, _ in cube_facets)
         # the polygon's 6 edges see 4 side rows each (the opposite edge is
-        # parallel); each 2-cone edge sees the other ray's row; rays see none
-        assert hexagon_lps == 6 * 4 + 6 * 2
+        # parallel); each 2-cone edge sees only the other ray's row, which is
+        # alone and so irredundant without an LP; rays see none
+        assert hexagon_lps == 6 * 4
+
+
+# ---------------------------------------------------------------------------
+# faces of an H-polyhedron by one descent against the hull lattice
+
+class TestHPolyFaces:
+    def test_corpus_faces_match_hull_lattice_and_row_choices(self, polytope_corpus):
+        compared = 0
+        for _, gamma in polytope_corpus:
+            cell = gamma.to_hpoly()
+            lattice = gamma.face_vertex_sets()
+            for d in range(-1, gamma.dim + 2):
+                faces = cell.faces(d)
+                want = {frozenset(gamma.vertices[i] for i in s) for s in lattice.get(d, ())}
+                assert len(faces) == len(want)
+                assert len({f.key for f in faces}) == len(faces)
+                assert all(f.dim == d for f in faces)
+                assert {frozenset(f.vertices()) for f in faces} == want
+                assert all(f.vertices() == ref.cell_vertices(f) for f in faces)
+                compared += len(faces)
+            assert cell.vertices() == sorted(gamma.vertices)
+        assert compared >= 150
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=region(), cuts=st.lists(st.tuples(normal, coord), max_size=2), plane=planes)
+    def test_random_cells_vertices_match_row_choices(self, rows, cuts, plane):
+        rows = rows + [((F(u), F(v)), F(d)) for (u, v), d in cuts]
+        cell = plane_cell(rows, plane)
+        if cell.is_empty():
+            assert cell.faces(0) == [] and cell.vertices() == []
+        elif cell.is_bounded():
+            assert cell.vertices() == ref.cell_vertices(cell)
+        else:
+            with pytest.raises(ValueError):
+                cell.vertices()
+
+    def test_cone_with_lineality(self):
+        # {x >= 0, y >= 0} in R^3: a 2-cone times the z-axis
+        wedge = HPoly(3, ineq=[((F(-1), F(0), F(0)), F(0)),
+                               ((F(0), F(-1), F(0)), F(0))]).canonical()
+        assert wedge.faces(3) == [wedge]
+        halves = wedge.faces(2)
+        assert len(halves) == 2 and all(len(h.ineq) == 1 for h in halves)
+        (axis,) = wedge.faces(1)
+        assert axis.ineq == () and axis.dim == 1
+        assert axis.same_set(HPoly(3, eq=[((F(1), F(0), F(0)), F(0)),
+                                          ((F(0), F(1), F(0)), F(0))]))
+        assert wedge.faces(0) == [] and wedge.faces(4) == []
+        with pytest.raises(ValueError):
+            wedge.vertices()
+
+    def test_faces_need_canonical_form(self):
+        with pytest.raises(ValueError):
+            HPoly(2, ineq=UNIT_SQUARE).faces(0)
 
 
 # ---------------------------------------------------------------------------
