@@ -17,6 +17,11 @@ needed), transversal intersections sum signed wedges, recession fans sum
 the frames of the cones cut into pieces, `canonicalize` sums repeated
 cells, and the corner locus of a PL function is the boundary of its
 linearity tiling with each cell framed by d^c of the function there.
+
+Coplanar cells of a complex have a convex union only if they share a facet,
+so `canonicalize` merges equal-framed cells across a wall, a row of one that
+the other has negated, by one LP per other row: the envelope of the rows
+that hold (Bemporad, Fukuda, Torrisi 2001) is the union, canonical as built.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .exterior import (Alt, ccov_form, complex_annihilator, complex_split,
                        complexify, density_sign, evaluate_cform, frame_on_split,
                        quotient_density, wedge_all)
 from .linalg import basis_change_sign, det, det_at
-from .lp import OPTIMAL, solve_lp
+from .lp import OPTIMAL
 from .polyhedra import (HPoly, PolyhedralSet, common_refinement, face_to_face,
                         triangulate)
 from .polynomials import Poly
@@ -240,34 +245,44 @@ def _framed(p) -> FramedSet:
     return p.framed if isinstance(p, EtvRep) else p
 
 
+def _without(cells, i, j):
+    return (c for t, c in enumerate(cells) if t not in (i, j))
+
+
 def _mergeable(a: FramedCell, b: FramedCell, others, ambient):
-    if a.frame != b.frame:
+    """The merged cell of a and b, or None.
+
+    Lemma: let a and b be canonical k-cells with equal `eq` and disjoint
+    relative interiors.  U = a | b is convex iff a row (r, c) of a has its
+    negation (-r, -c) among b's rows and every other row of each cell holds
+    on the other; those other rows, deduplicated, are then U's canonical form.
+    If: their envelope E meets {r <= c} inside a and {r >= c} inside b.
+    Only if: a hyperplane H separates the relative interiors; U & H, the
+    closure of relint(U) & H, lies in a & b, so a & H = b & H is a common
+    facet, whose rows in a and b (primitive, reduced modulo one rref hull)
+    are exact negatives.  A row s != r of a failing at q in b would make U
+    miss part of the segment from relint(facet_s) - H to q.
+    Canonical: each kept row cuts out a facet of U, rows of one facet
+    coincide after the reduction, and U is full-dimensional in its hull.
+    A wall separates a from b, so overlapping or nested cells never merge:
+    that would lose the frame counted twice on the overlap.
+    """
+    if a.frame != b.frame or a.poly.eq != b.poly.eq:
         return None
-    if a.poly.eq != b.poly.eq:
+    negated = {(tuple(-x for x in r), -c): (r, c) for r, c in b.poly.ineq}
+    wall = next((row for row in a.poly.ineq if row in negated), None)
+    if wall is None:
         return None
-    valid, out_a, out_b = [], [], []
-    for rows, other, out in ((a.poly.ineq, b.poly, out_a), (b.poly.ineq, a.poly, out_b)):
+    walls = {wall, negated[wall]}
+    for rows, other in ((a.poly.ineq, b.poly), (b.poly.ineq, a.poly)):
         for coeffs, rhs in rows:
-            res = other.maximize(coeffs)
-            if res.status == OPTIMAL and res.value <= rhs:
-                valid.append((coeffs, rhs))
-            else:
-                out.append((coeffs, rhs))
-    merged = HPoly(ambient, a.poly.eq, tuple(valid)).canonical()
-    # merged contains a and b, so it is their union unless one of its points
-    # violates a row of out_a and a row of out_b: per pair, maximize the
-    # smaller violation t <= 1 and reject when it is positive
-    a_eq = [list(c) + [_ZERO] for c, _ in merged.eq]
-    b_eq = [r for _, r in merged.eq]
-    a_ub = [list(c) + [_ZERO] for c, _ in merged.ineq] + [[_ZERO] * ambient + [_ONE]]
-    b_ub = [r for _, r in merged.ineq] + [_ONE]
-    for ca, ra in out_a:
-        for cb, rb in out_b:
-            res = solve_lp([_ZERO] * ambient + [_ONE],
-                           a_ub + [[-x for x in ca] + [_ONE], [-x for x in cb] + [_ONE]],
-                           b_ub + [-ra, -rb], a_eq, b_eq, maximize=True)
-            if res.value > 0:
-                return None
+            if (coeffs, rhs) not in walls:
+                res = other.maximize(coeffs)
+                if res.status != OPTIMAL or res.value > rhs:
+                    return None
+    kept = set(a.poly.ineq + b.poly.ineq) - walls
+    merged = HPoly(ambient, a.poly.eq, tuple(sorted(kept)), _canonical=True)
+    merged._empty = False
     # merging must not break the face-to-face property with the rest
     if not all(face_to_face(merged, o.poly) for o in others):
         return None
@@ -275,36 +290,31 @@ def _mergeable(a: FramedCell, b: FramedCell, others, ambient):
 
 
 def canonicalize(x, validate=True) -> EtvRep:
-    """Sum the frames of repeated cells, drop zero frames and greedily merge
-    coplanar equal-framed neighbors.
+    """Sum the frames of repeated cells, drop zero frames, and merge the
+    first pair that `_mergeable` accepts until none is left: equal-framed
+    cells of one hull with a wall (a row of one negated in the other) whose
+    other rows hold on each other (one LP per row), if the merged cell stays
+    face-to-face with the rest.  In a complex that is when the union is convex.
 
-    Two cells merge when they have the same affine hull and the same frame,
-    their envelope (the rows of each that hold on the other) is exactly their
-    union, and the merged cell stays face-to-face with every other cell.  The
-    union test is the envelope test of Bemporad, Fukuda and Torrisi (2001,
-    "Convexity recognition of the union of polyhedra").
+    An `EtvRep` is returned unchanged: it comes from `canonicalize`,
+    `zero_etv`, `scale` or `translate` (which keep a merged complex merged)
+    or `irreducible_components` (components as built), so it is merged.
     """
-    x = _framed(x)
+    if isinstance(x, EtvRep):
+        return x
     if validate:
         report = is_etp(x)
         if not report.ok:
             raise ValueError(f"not a valid cycle: {report.witness}")
     cells = _sum_cells(x.n, x.k, ((c.poly, c.frame) for c in x.cells)).support_cells()
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(cells)):
-            for j in range(i + 1, len(cells)):
-                others = [cells[t] for t in range(len(cells)) if t not in (i, j)]
-                merged = _mergeable(cells[i], cells[j], others, x.ambient)
-                if merged is not None:
-                    frame = cells[i].frame
-                    cells = others + [FramedCell(merged, frame)]
-                    changed = True
-                    break
-            if changed:
+    while True:
+        for i, j in combinations(range(len(cells)), 2):
+            merged = _mergeable(cells[i], cells[j], _without(cells, i, j), x.ambient)
+            if merged is not None:
+                cells = [*_without(cells, i, j), FramedCell(merged, cells[i].frame)]
                 break
-    return EtvRep(FramedSet(x.n, x.k, cells), _checked=True)
+        else:
+            return EtvRep(FramedSet(x.n, x.k, cells), _checked=True)
 
 
 def zero_etv(n: int, k: int) -> EtvRep:
@@ -345,17 +355,14 @@ def add(p, q) -> EtvRep:
     if x.n != y.n:
         raise ValueError("ambient mismatch")
     if not x.support_cells():
-        return q if isinstance(q, EtvRep) else canonicalize(y, validate=False)
+        return canonicalize(q, validate=False)
     if not y.support_cells():
-        return p if isinstance(p, EtvRep) else canonicalize(x, validate=False)
+        return canonicalize(p, validate=False)
     if x.k != y.k:
         raise ValueError("dimension mismatch in sum")
     xp, yp = _refined(x, y)
     return canonicalize(_sum_cells(x.n, x.k, xp + yp), validate=False)
 
-
-# Translating every cell, or scaling every frame by the same t != 0, keeps a
-# merged complex merged, so canonical input needs no second merge pass.
 
 def scale(t, p) -> EtvRep:
     x = _framed(p)
@@ -386,24 +393,20 @@ def split_positive(p) -> tuple[EtvRep, EtvRep]:
     frame making every cell of P + P- nonnegative.
     """
     x = _framed(p)
-    hull_needs: dict = {}
-    hull_poly: dict = {}
+    hull_needs: dict = {}  # hull key -> (hull, least weight on it)
     for c in x.support_cells():
         hull = c.poly.affine_hull()
         w = cell_weight(c.frame, c.poly.tangent_basis)
-        cur = hull_needs.get(hull.key, _ZERO)
-        hull_needs[hull.key] = min(cur, w)
-        hull_poly[hull.key] = hull
+        hull_needs[hull.key] = (hull, min(hull_needs.get(hull.key, (hull, _ZERO))[1], w))
     plane_cells = []
-    for key, wmin in hull_needs.items():
+    for hull, wmin in hull_needs.values():
         if wmin >= 0:
             continue
         c_int = -(-(-wmin).numerator // (-wmin).denominator)  # ceil(-wmin)
-        hull = hull_poly[key]
         gen = unit_positive_frame(hull.tangent_basis, x.n)
         plane_cells.append(FramedCell(hull, gen.scale(Fraction(c_int))))
     if not plane_cells:
-        return (canonicalize(x, validate=False), zero_etv(x.n, x.k))
+        return (canonicalize(p, validate=False), zero_etv(x.n, x.k))
     pminus = canonicalize(FramedSet(x.n, x.k, plane_cells), validate=False)
     pplus = add(p, pminus)
     return (pplus, pminus)

@@ -207,8 +207,8 @@ def stable_support(x, y, seed: int = 0) -> list:
 
 def stable_intersection(x, y, seed: int = 0, force_stable: bool = False) -> EtvRep:
     """Displacement-limit intersection of positive cycles."""
-    p = x if isinstance(x, EtvRep) else canonicalize(x)
-    q = y if isinstance(y, EtvRep) else canonicalize(y)
+    p = canonicalize(x)
+    q = canonicalize(y)
     n = p.n
     if p.is_zero() or q.is_zero():
         return zero_etv(n, n)
@@ -225,8 +225,8 @@ def stable_intersection(x, y, seed: int = 0, force_stable: bool = False) -> EtvR
 
 def product(x, y, seed: int = 0) -> EtvRep:
     """Bilinear extension of the stable intersection through positive parts."""
-    p = x if isinstance(x, EtvRep) else canonicalize(x)
-    q = y if isinstance(y, EtvRep) else canonicalize(y)
+    p = canonicalize(x)
+    q = canonicalize(y)
     n = p.n
     if p.is_zero() or q.is_zero():
         return zero_etv(n, n)
@@ -260,9 +260,9 @@ def product_many(factors, seed: int = 0) -> EtvRep:
 # ---------------------------------------------------------------------------
 # Bergman (recession) fans
 
-def bergman_fan(x, validate: bool = True) -> EtvRep:
+def bergman_fan(x) -> EtvRep:
     """Recession fan with frames summed over cells receding into each cone."""
-    p = x if isinstance(x, EtvRep) else canonicalize(x)
+    p = canonicalize(x)
     n = p.n
     k = p.k
     cells = p.framed.support_cells()
@@ -274,4 +274,4 @@ def bergman_fan(x, validate: bool = True) -> EtvRep:
     # exactly when it is one of that cone's pieces
     pairs = [(piece, c.frame) for c, rc in recession if rc.dim == k
              for piece in split_by_hyperplanes(rc, hyps)]
-    return canonicalize(_sum_cells(n, k, pairs), validate=validate)
+    return canonicalize(_sum_cells(n, k, pairs))

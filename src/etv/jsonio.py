@@ -186,8 +186,8 @@ def framedset_from_json(obj) -> FramedSet:
     return FramedSet(n, k, cells)
 
 
-def etv_from_json(obj, validate=True) -> EtvRep:
-    return canonicalize(framedset_from_json(obj), validate=validate)
+def etv_from_json(obj) -> EtvRep:
+    return canonicalize(framedset_from_json(obj))
 
 
 def affine_to_json(f: AffineFunc):

@@ -286,7 +286,7 @@ def mixed_volume_oracle(*bodies) -> Fraction:
 
 def is_r_generated(p) -> bool:
     """Invariance of the cycle under translations along the imaginary plane."""
-    rep = p if isinstance(p, EtvRep) else canonicalize(p)
+    rep = canonicalize(p)
     if rep.is_zero():
         return True
     n = rep.n

@@ -673,7 +673,7 @@ class PolyhedralSet:
     cells: list = field(default_factory=list)
 
     @staticmethod
-    def from_cells(k: int, ambient: int, cells, validate=False) -> "PolyhedralSet":
+    def from_cells(k: int, ambient: int, cells) -> "PolyhedralSet":
         canon = {}
         for c in cells:
             cc = c.canonical()
@@ -682,11 +682,8 @@ class PolyhedralSet:
             if cc.dim != k:
                 raise ValueError(f"cell of dim {cc.dim} in a {k}-complex")
             canon[cc.key] = cc
-        out = PolyhedralSet(k=k, ambient=ambient, cells=sorted(canon.values(),
-                                                               key=lambda c: repr(c.key)))
-        if validate:
-            out.validate_face_to_face()
-        return out
+        return PolyhedralSet(k=k, ambient=ambient, cells=sorted(canon.values(),
+                                                                key=lambda c: repr(c.key)))
 
     def validate_face_to_face(self):
         for i, a in enumerate(self.cells):

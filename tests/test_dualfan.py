@@ -2,7 +2,6 @@ from fractions import Fraction as F
 
 import pytest
 
-import etv.framed as framed
 import etv.polyhedra as polyhedra
 import orientation_reference as oref
 from etv.dualfan import (DualFanEtp, dual_fan_etp, face_is_degenerate,
@@ -160,8 +159,7 @@ class TestCocycles:
 
         monkeypatch.setattr(VPolytope, "to_hpoly", forbidden)
         monkeypatch.setattr(HPoly, "vertices", forbidden)
-        for module in (polyhedra, framed):
-            monkeypatch.setattr(module, "solve_lp", forbidden)
+        monkeypatch.setattr(polyhedra, "solve_lp", forbidden)
         for _, gamma in polytope_corpus:
             assert all(pascal_check(gamma, m) for m in range(gamma.dim + 1))
             assert all(volume_recursion_check(gamma, m) and

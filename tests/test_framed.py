@@ -159,31 +159,55 @@ class TestGroup:
         assert not equivalent(p, q)
 
 
+def _square_fan():
+    square = VPolytope.from_points([(F(0), F(0)), (F(1), F(0)),
+                                    (F(0), F(1)), (F(1), F(1))])
+    return dual_fan_etp(square, 1).result
+
+
+def _count_merges(monkeypatch):
+    calls = []
+    mergeable = framed._mergeable
+
+    def counting(*args):
+        calls.append(args)
+        return mergeable(*args)
+
+    monkeypatch.setattr(framed, "_mergeable", counting)
+    return calls
+
+
 class TestCanonicalInputNotRemerged:
     def test_translate_scale_negate_skip_merging(self, monkeypatch):
-        square = VPolytope.from_points([(F(0), F(0)), (F(1), F(0)),
-                                        (F(0), F(1)), (F(1), F(1))])
-        fan = dual_fan_etp(square, 1).result
+        fan = _square_fan()
         assert len(fan.cells()) == 4
         vec = (F(1, 2), F(-3))
         t = CRat(2, -1)
         old = [canonicalize(fan.framed.translated(vec), validate=False),
                canonicalize(fan.framed.scaled(t), validate=False),
                canonicalize(fan.framed.scaled(F(-1)), validate=False)]
-        calls = []
-        mergeable = framed._mergeable
-
-        def counting(*args):
-            calls.append(args)
-            return mergeable(*args)
-
-        monkeypatch.setattr(framed, "_mergeable", counting)
+        calls = _count_merges(monkeypatch)
         new = [translate(fan, vec), scale(t, fan), negate(fan)]
         assert calls == []
         assert all(isinstance(r, EtvRep) for r in new)
         monkeypatch.undo()
         for a, b in zip(old, new):
             assert equivalent(a, b)
+
+    @pytest.mark.parametrize("validate", [True, False])
+    def test_canonicalize_returns_rep_unchanged(self, validate, monkeypatch):
+        fan = _square_fan()
+        calls = _count_merges(monkeypatch)
+        assert canonicalize(fan, validate=validate) is fan
+        assert calls == []
+
+    def test_split_positive_of_positive_rep_skips_merging(self, monkeypatch):
+        fan = _square_fan()
+        assert is_positive(fan)
+        calls = _count_merges(monkeypatch)
+        plus, minus = split_positive(fan)
+        assert calls == []
+        assert plus is fan and minus.is_zero()
 
 
 class TestPositivity:
@@ -374,6 +398,9 @@ def _mergeable_by_split(a, b, others, ambient):
     in a or in b."""
     if a.frame != b.frame or a.poly.eq != b.poly.eq:
         return None
+    # merging overlapping cells would lose the frame counted twice on their overlap
+    if a.poly.intersect(b.poly).canonical().dim == a.poly.dim:
+        return None
     valid = [(c, r) for p, q in ((a.poly, b.poly), (b.poly, a.poly)) for c, r in p.ineq
              if (res := q.maximize(c)).status == "optimal" and res.value <= r]
     merged = HPoly(ambient, a.poly.eq, valid).canonical()
@@ -439,6 +466,8 @@ class TestMergeVerdict:
         assert (got is None) == (want is None)
         if got is not None:
             assert got.key == want.key
+            # canonical as built
+            assert got.key == HPoly(a.ambient, got.eq, got.ineq).canonical().key
 
     def test_canonicalize_matches_split_on_corpus(self, polytope_corpus, monkeypatch):
         fans = [dual_fan_etp(gamma, k, validate=False).framed_rep()
@@ -468,9 +497,8 @@ class TestMergeLpCount:
             raise AssertionError("split_by_hyperplanes called")
 
         monkeypatch.setattr(polyhedra, "solve_lp", counting)
-        monkeypatch.setattr(framed, "solve_lp", counting)
         monkeypatch.setattr(polyhedra, "split_by_hyperplanes", no_split)
         polyhedra._CANONICAL_MEMO.clear()
         merged = canonicalize(rep, validate=False)
         assert len(rep.cells) == 6 and len(merged.cells()) == 3
-        assert calls[0] <= 173  # 338 with the arrangement-split union test
+        assert calls[0] == 100  # 156 with the union LPs, 338 with the split test

@@ -55,3 +55,16 @@ def test_library_has_no_float_constant():
         if isinstance(node, ast.Constant):
             assert not isinstance(node.value, (float, complex)), \
                 f"{name}:{node.lineno} has the constant {node.value!r}"
+
+
+def test_only_polyhedra_solves_lps():
+    """Every LP of the library runs through `polyhedra`, so patching its
+    `solve_lp` sees them all."""
+    importers = set()
+    for name, node in _library_nodes():
+        if isinstance(node, ast.ImportFrom) and node.module in ("lp", "etv.lp"):
+            if any(alias.name == "solve_lp" for alias in node.names):
+                importers.add(name)
+        elif isinstance(node, ast.Attribute) and node.attr == "solve_lp":
+            importers.add(name)
+    assert importers == {"polyhedra.py"}
