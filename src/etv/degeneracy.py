@@ -24,6 +24,7 @@ from .monge import AffineFunc, PLFunction, corner_locus
 from .scalars import CRat
 
 _ZERO = Fraction(0)
+_BRUTEFORCE_CAP = 12  # sets; `witness_bruteforce` tries every subset
 
 
 @dataclass(frozen=True)
@@ -130,9 +131,9 @@ def degeneracy_witness(family: VectorFamily) -> DegeneracyWitness:
         current = inside
 
 
-def witness_bruteforce(family: VectorFamily, size_cap: int = 12):
+def witness_bruteforce(family: VectorFamily):
     """Smallest index subset with dim span of its union below its size."""
-    if family.k > size_cap:
+    if family.k > _BRUTEFORCE_CAP:
         raise ValueError("family too large for subset enumeration")
     for p in range(1, family.k + 1):
         for subset in combinations(range(family.k), p):

@@ -18,21 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exterior import Alt, apply_J, complex_split, pairing, rho, wedge
+from .exterior import Alt, ComplexSplit, complex_split, pairing, rho, wedge
 from .framed import EtvRep, FramedCell, FramedSet, canonicalize
-from .linalg import basis_change_sign, det, rref
-from .polyhedra import HPoly, VPolytope, dual_cone, volume_multivector
+from .linalg import basis_change_sign, det
+from .polyhedra import VPolytope, dual_cone, volume_multivector
 from .scalars import CRat
-
-
-def face_is_degenerate(face: VPolytope) -> bool:
-    """dim of the face exceeds the complex dimension of its complex span."""
-    basis = list(face.tangent_basis)
-    if not basis:
-        return False
-    span = list(basis) + [apply_J(v) for v in basis]
-    dim_c = len(rref(span)[0]) // 2
-    return len(basis) > dim_c
 
 
 def symplectic_orientation_sign(basis_q, basis_f) -> int:
@@ -69,16 +59,11 @@ class DualFanEtp:
                          [FramedCell(cone, frame) for _, cone, frame in self.face_map])
 
 
-def dual_fan_frame(face: VPolytope, cone: HPoly, n: int) -> Alt:
+def dual_fan_frame(face: VPolytope, split: ComplexSplit) -> Alt:
     """Frame of the dual cone of a nondegenerate face, at the cone's
-    canonical orientation."""
-    m = len(face.tangent_basis)
+    canonical orientation; `split` is the complex split of the cone."""
     fbasis = list(face.tangent_basis)
-    p_face = volume_multivector(face, fbasis)
-    w = rho(p_face).scale(minus_i_power(m))
-    split = complex_split(cone.tangent_basis)
-    if split.degenerate:
-        raise ValueError("dual cone of a nondegenerate face cannot be degenerate")
+    w = rho(volume_multivector(face, fbasis)).scale(minus_i_power(len(fbasis)))
     sign = symplectic_orientation_sign(split.quotient_basis, fbasis)
     return w if sign > 0 else -w
 
@@ -95,10 +80,9 @@ def dual_fan_etp(gamma: VPolytope, k: int, validate=True) -> DualFanEtp:
     cells = []
     for face in gamma.faces(m):
         cone = dual_cone(gamma, face)
-        if face_is_degenerate(face):
-            frame = Alt(m)
-        else:
-            frame = dual_fan_frame(face, cone, n)
+        # at a valid grade a face is degenerate exactly when its cone is
+        split = complex_split(cone.tangent_basis)
+        frame = Alt(m) if split.degenerate else dual_fan_frame(face, split)
         face_map.append((face, cone, frame))
         cells.append(FramedCell(cone, frame))
     framed = FramedSet(n, k, cells)

@@ -64,10 +64,6 @@ class Alt:
                     self.terms[tuple(key)] = val
 
     @staticmethod
-    def zero(degree: int) -> "Alt":
-        return Alt(degree)
-
-    @staticmethod
     def scalar(value) -> "Alt":
         return Alt(0, {(): value})
 

@@ -18,10 +18,13 @@ the frames of the cones cut into pieces, `canonicalize` sums repeated
 cells, and the corner locus of a PL function is the boundary of its
 linearity tiling with each cell framed by d^c of the function there.
 
-Coplanar cells of a complex have a convex union only if they share a facet,
-so `canonicalize` merges equal-framed cells across a wall, a row of one that
-the other has negated, by one LP per other row: the envelope of the rows
-that hold (Bemporad, Fukuda, Torrisi 2001) is the union, canonical as built.
+Neighbours come from one facet-owner index, facet key -> the cells that
+have that facet, and one union-find over it.  `irreducible_components`
+joins cells across every shared facet.  `canonicalize` joins equal-framed
+cells of one hull across free walls, facets that only those two cells own,
+and makes each region one cell, the envelope of the rows of its boundary
+facets (Bemporad, Fukuda, Torrisi 2001), when its cells satisfy those rows
+and do not overlap.
 """
 
 from __future__ import annotations
@@ -245,56 +248,91 @@ def _framed(p) -> FramedSet:
     return p.framed if isinstance(p, EtvRep) else p
 
 
-def _without(cells, i, j):
-    return (c for t, c in enumerate(cells) if t not in (i, j))
+def _facet_owners(cells):
+    """Facet key -> indices of the cells that have that facet: the one
+    neighbour index of `canonicalize` and `irreducible_components`."""
+    owners: dict = {}
+    for i, c in enumerate(cells):
+        for facet, _ in c.poly.facets_with_normals():
+            owners.setdefault(facet.key, []).append(i)
+    return owners
 
 
-def _mergeable(a: FramedCell, b: FramedCell, others, ambient):
-    """The merged cell of a and b, or None.
+def _joined(count, links):
+    """The classes of range(count) when the indices of each link are joined,
+    each sorted, in the order of their first index (union-find)."""
+    parent = list(range(count))
 
-    Lemma: let a and b be canonical k-cells with equal `eq` and disjoint
-    relative interiors.  U = a | b is convex iff a row (r, c) of a has its
-    negation (-r, -c) among b's rows and every other row of each cell holds
-    on the other; those other rows, deduplicated, are then U's canonical form.
-    If: their envelope E meets {r <= c} inside a and {r >= c} inside b.
-    Only if: a hyperplane H separates the relative interiors; U & H, the
-    closure of relint(U) & H, lies in a & b, so a & H = b & H is a common
-    facet, whose rows in a and b (primitive, reduced modulo one rref hull)
-    are exact negatives.  A row s != r of a failing at q in b would make U
-    miss part of the segment from relint(facet_s) - H to q.
-    Canonical: each kept row cuts out a facet of U, rows of one facet
-    coincide after the reduction, and U is full-dimensional in its hull.
-    A wall separates a from b, so overlapping or nested cells never merge:
-    that would lose the frame counted twice on the overlap.
-    """
-    if a.frame != b.frame or a.poly.eq != b.poly.eq:
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for first, *rest in links:
+        for j in rest:
+            parent[find(j)] = find(first)
+    classes: dict = {}
+    for i in range(count):
+        classes.setdefault(find(i), []).append(i)
+    return list(classes.values())
+
+
+def _region_union(polys):
+    """The union of a region as one canonical cell, or None: tests (a) to (c)
+    of the lemma of `canonicalize`, one LP per boundary row and cell that
+    lacks it and at most one for an interior point."""
+    owners: dict = {}
+    for p in polys:
+        for f, row in p.facets_with_normals():
+            owners.setdefault(f.key, []).append(row)
+    if any(len(own) > 2 or own[1] != (tuple(-x for x in own[0][0]), -own[0][1])
+           for own in owners.values() if len(own) > 1):
         return None
-    negated = {(tuple(-x for x in r), -c): (r, c) for r, c in b.poly.ineq}
-    wall = next((row for row in a.poly.ineq if row in negated), None)
-    if wall is None:
-        return None
-    walls = {wall, negated[wall]}
-    for rows, other in ((a.poly.ineq, b.poly), (b.poly.ineq, a.poly)):
+    rows = sorted({own[0] for own in owners.values() if len(own) == 1})
+    for p in polys:
         for coeffs, rhs in rows:
-            if (coeffs, rhs) not in walls:
-                res = other.maximize(coeffs)
+            if (coeffs, rhs) not in p.ineq:
+                res = p.maximize(coeffs)
                 if res.status != OPTIMAL or res.value > rhs:
                     return None
-    kept = set(a.poly.ineq + b.poly.ineq) - walls
-    merged = HPoly(ambient, a.poly.eq, tuple(sorted(kept)), _canonical=True)
-    merged._empty = False
-    # merging must not break the face-to-face property with the rest
-    if not all(face_to_face(merged, o.poly) for o in others):
+    inside = polys[0].relint_point()
+    if any(p.contains_point(inside) for p in polys[1:]):
         return None
+    merged = HPoly(polys[0].ambient, polys[0].eq, tuple(rows), _canonical=True)
+    merged._empty = False
     return merged
 
 
 def canonicalize(x, validate=True) -> EtvRep:
-    """Sum the frames of repeated cells, drop zero frames, and merge the
-    first pair that `_mergeable` accepts until none is left: equal-framed
-    cells of one hull with a wall (a row of one negated in the other) whose
-    other rows hold on each other (one LP per row), if the merged cell stays
-    face-to-face with the rest.  In a complex that is when the union is convex.
+    """Sum the frames of repeated cells, drop zero frames, and make each
+    region whose union is convex one cell.
+
+    A region is a class of support cells joined across free walls: facets
+    that exactly two cells own, with equal `eq` and equal frames (a wall
+    with a third owner would lie inside the merged cell).  A region merges
+    whole or not at all, when its union is convex and face-to-face with
+    every cell outside it.  Regions are taken in the order of their first
+    cell; a merged cell goes to the end and the scan restarts, since
+    face-to-face verdicts can change.
+
+    Lemma: let R be canonical k-cells with one `eq`; a facet of a cell of R
+    is a boundary facet when no other cell of R has it.  U = |R| is convex,
+    and no two cells overlap, if (a) every other facet has exactly two
+    owners in R, on opposite sides (negated rows), (b) every cell satisfies
+    every boundary row, and (c) an interior point of one cell lies in no
+    other; the boundary rows, deduplicated and sorted, are then the
+    canonical form of U.  If: U lies in the envelope E of the boundary rows
+    by (b), and boundary facets lie on its boundary.  Across any other facet
+    its two owners swap by (a), so the number of cells that hold a point is
+    constant off a null set of the connected relint(E), 1 by (c): U = E.  In a
+    face-to-face complex (a) to (c) hold when U is convex: a facet of one
+    hull has at most two owners, cells meet in common faces, and a boundary
+    facet lies in the relative boundary of U, so its hyperplane supports U.
+    Canonical: each kept hyperplane carries a facet of E of dimension k - 1,
+    coplanar boundary facets have equal rows after the reduction modulo the
+    one rref hull, and E is k-dimensional in the hull, so the merged cell
+    is built canonical, with no `canonical()` call.
 
     An `EtvRep` is returned unchanged: it comes from `canonicalize`,
     `zero_etv`, `scale` or `translate` (which keep a merged complex merged)
@@ -308,10 +346,16 @@ def canonicalize(x, validate=True) -> EtvRep:
             raise ValueError(f"not a valid cycle: {report.witness}")
     cells = _sum_cells(x.n, x.k, ((c.poly, c.frame) for c in x.cells)).support_cells()
     while True:
-        for i, j in combinations(range(len(cells)), 2):
-            merged = _mergeable(cells[i], cells[j], _without(cells, i, j), x.ambient)
-            if merged is not None:
-                cells = [*_without(cells, i, j), FramedCell(merged, cells[i].frame)]
+        walls = (own for own in _facet_owners(cells).values() if len(own) == 2
+                 and cells[own[0]].poly.eq == cells[own[1]].poly.eq
+                 and cells[own[0]].frame == cells[own[1]].frame)
+        for region in _joined(len(cells), walls):
+            if len(region) < 2:
+                continue
+            merged = _region_union([cells[i].poly for i in region])
+            rest = [c for i, c in enumerate(cells) if i not in region]
+            if merged is not None and all(face_to_face(merged, o.poly) for o in rest):
+                cells = rest + [FramedCell(merged, cells[region[0]].frame)]
                 break
         else:
             return EtvRep(FramedSet(x.n, x.k, cells), _checked=True)
@@ -413,31 +457,14 @@ def split_positive(p) -> tuple[EtvRep, EtvRep]:
 
 
 def irreducible_components(p) -> list[EtvRep]:
-    """Connected components under the shared-facet neighbor relation."""
+    """Classes of the support cells joined across every shared facet, in the
+    order of their first cell.  In a complex two cells meet in dimension
+    k - 1 exactly when they share a facet; cells that meet along part of a
+    facet only, as quadrants of two shifted quadrant fans do, are not."""
     x = _framed(p)
     cells = x.support_cells()
-    if not cells:
-        return []
-    parent = list(range(len(cells)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(cells)):
-        for j in range(i + 1, len(cells)):
-            inter = cells[i].poly.intersect(cells[j].poly).canonical()
-            if not inter.is_empty() and inter.dim == x.k - 1:
-                parent[find(i)] = find(j)
-    groups: dict = {}
-    for i in range(len(cells)):
-        groups.setdefault(find(i), []).append(cells[i])
-    out = []
-    for root in sorted(groups, key=lambda r: repr(cells[r].poly.key)):
-        out.append(EtvRep(FramedSet(x.n, x.k, groups[root]), _checked=True))
-    return out
+    return [EtvRep(FramedSet(x.n, x.k, [cells[i] for i in comp]), _checked=True)
+            for comp in _joined(len(cells), _facet_owners(cells).values())]
 
 
 # ---------------------------------------------------------------------------

@@ -152,7 +152,6 @@ class StableSupportCell:
     cell: HPoly
     frame: Alt
     shift: tuple
-    parents: tuple
 
 
 def _localize(framed: FramedSet, p) -> FramedSet:
@@ -185,9 +184,9 @@ def stable_support(x, y, seed: int = 0) -> list:
         for b in yf.support_cells():
             inter = a.poly.intersect(b.poly).canonical()
             for face in inter.faces(k_out):
-                candidates.setdefault(face.key, (face, (a.poly, b.poly)))
+                candidates.setdefault(face.key, face)
     out = []
-    for cand, parents in candidates.values():
+    for cand in candidates.values():
         p = cand.relint_point()
         k_fan = _localize(xf, p)
         l_fan = _localize(yf, p)
@@ -199,8 +198,7 @@ def stable_support(x, y, seed: int = 0) -> list:
         for c in transversal_intersection(k_fan, l_fan.translated(shift)).cells:
             total = total + c.frame
         if not total.is_zero():
-            out.append(StableSupportCell(cell=cand, frame=total,
-                                         shift=shift, parents=parents))
+            out.append(StableSupportCell(cell=cand, frame=total, shift=shift))
     out.sort(key=lambda s: repr(s.cell.key))
     return out
 

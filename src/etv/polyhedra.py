@@ -114,9 +114,7 @@ class HPoly:
             return HPoly.empty(self.ambient)
         return HPoly(self.ambient, self.eq + other.eq, self.ineq + other.ineq)
 
-    def with_constraint(self, coeffs, rhs, equality=False) -> "HPoly":
-        if equality:
-            return HPoly(self.ambient, self.eq + ((tuple(coeffs), rhs),), self.ineq)
+    def with_constraint(self, coeffs, rhs) -> "HPoly":
         return HPoly(self.ambient, self.eq, self.ineq + ((tuple(coeffs), rhs),))
 
     def translate(self, vec) -> "HPoly":

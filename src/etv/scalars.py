@@ -110,11 +110,6 @@ class CRat:
         return f"{rat_str(self.re)}{sign}{rat_str(abs(self.im))}i"
 
 
-CI = CRat(0, 1)
-CONE = CRat(1)
-CZERO = CRat(0)
-
-
 def crat_str(z: CRat) -> dict:
     return {"re": rat_str(z.re), "im": rat_str(z.im)}
 

@@ -1,13 +1,15 @@
-"""Reference coordinates, orientation signs, face facets, unit frames and
-complex splits, each by its first construction: a solve per vector, a round
-trip through H-form, a kernel over all m-subsets of the tangent basis, and
-a rank call per vector for the complex and quotient bases.
+"""Reference coordinates, orientation signs, face facets, unit frames,
+complex splits and degenerate faces, each by its first construction: a
+solve per vector, a round trip through H-form, a kernel over all m-subsets
+of the tangent basis, a rank call per vector for the complex and quotient
+bases, and the complex dimension of the span of a face.
 
 `etv.linalg.basis_change_sign`, `etv.dualfan._oriented_facets`,
 `etv.framed.unit_positive_frame` and `etv.exterior.complex_split` replaced
 these by determinants at pivot columns, the facets of the one hull, a wedge
 of complex annihilators, and one split per tangent space whose complex
-basis is the rref of E & JE; the tests compare the two.
+basis is the rref of E & JE; `dual_fan_etp` reads the degeneracy of a face
+from the split of its dual cone.  The tests compare the two.
 """
 
 from itertools import combinations
@@ -105,6 +107,16 @@ def max_complex_subspace(basis):
     ebasis = rref(basis)[0]
     inter = intersect_rowspaces(list(ebasis), [apply_J(v) for v in ebasis], ncols)
     return list(inter), ncols // 2 - len(inter) // 2 < ncols - len(ebasis)
+
+
+def face_is_degenerate(face: VPolytope) -> bool:
+    """dim of the face exceeds the complex dimension of its complex span."""
+    basis = list(face.tangent_basis)
+    if not basis:
+        return False
+    span = list(basis) + [apply_J(v) for v in basis]
+    dim_c = len(rref(span)[0]) // 2
+    return len(basis) > dim_c
 
 
 def standard_complex_basis(c_basis) -> list:

@@ -1,16 +1,17 @@
+import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 import etv.polyhedra as polyhedra
 import orientation_reference as oref
-from etv.dualfan import (DualFanEtp, dual_fan_etp, face_is_degenerate,
-                         pascal_check, real_volume_recursion_check,
-                         symplectic_orientation_sign, valid_k_range,
-                         volume_recursion_check)
-from etv.exterior import Alt
+from etv.dualfan import (DualFanEtp, dual_fan_etp, pascal_check,
+                         real_volume_recursion_check, symplectic_orientation_sign,
+                         valid_k_range, volume_recursion_check)
+from etv.exterior import Alt, complex_split
 from etv.framed import equivalent, is_etp, is_positive, translate
-from etv.polyhedra import HPoly, VPolytope
+from etv.polyhedra import HPoly, VPolytope, dual_cone
 from etv.scalars import CRat
 
 
@@ -81,11 +82,29 @@ class TestDegenerateFace:
         # square spanned by e1* and i e1* inside the dual of C^2
         gamma = VPolytope.from_points([pt(0, 0, 0, 0), pt(1, 0, 0, 0),
                                        pt(0, 1, 0, 0), pt(1, 1, 0, 0)])
-        assert face_is_degenerate(gamma)
+        assert oref.face_is_degenerate(gamma)
         fan = dual_fan_etp(gamma, 2)
         assert fan.result.is_zero()
         assert all(frame.is_zero() for face, cone, frame in fan.face_map
                    if face.dim == 2)
+
+    def test_face_degenerate_iff_its_cone_is(self, polytope_corpus):
+        """At every valid grade a face is degenerate exactly when the tangent
+        space of its dual cone is, which is what `dual_fan_etp` reads."""
+        rng = random.Random(5)
+        bodies = [gamma for _, gamma in polytope_corpus] + [
+            VPolytope.from_points([tuple(F(rng.randint(-1, 1)) for _ in range(2 * n))
+                                   for _ in range(rng.randint(2, 6))])
+            for n in (1, 2) * 12]
+        verdicts = Counter()
+        for gamma in bodies:
+            n = gamma.ambient // 2
+            for k in valid_k_range(gamma):
+                for face in gamma.faces(2 * n - k):
+                    split = complex_split(dual_cone(gamma, face).tangent_basis)
+                    assert split.degenerate == oref.face_is_degenerate(face)
+                    verdicts[split.degenerate] += 1
+        assert verdicts[True] >= 4 and verdicts[False] >= 370
 
     def test_its_edges_still_frame_k3(self):
         gamma = VPolytope.from_points([pt(0, 0, 0, 0), pt(1, 0, 0, 0),

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -167,13 +168,13 @@ def _square_fan():
 
 def _count_merges(monkeypatch):
     calls = []
-    mergeable = framed._mergeable
+    region_union = framed._region_union
 
     def counting(*args):
         calls.append(args)
-        return mergeable(*args)
+        return region_union(*args)
 
-    monkeypatch.setattr(framed, "_mergeable", counting)
+    monkeypatch.setattr(framed, "_region_union", counting)
     return calls
 
 
@@ -392,29 +393,20 @@ class TestCanonicalizeDeterminism:
 # ---------------------------------------------------------------------------
 # merging against the arrangement-split union test
 
-def _mergeable_by_split(a, b, others, ambient):
-    """Reference merge check: the envelope is the union iff the relative
-    interior point of every piece of its split by the walls of a and b lies
-    in a or in b."""
-    if a.frame != b.frame or a.poly.eq != b.poly.eq:
-        return None
+def _union_by_split(polys):
+    """Reference region union: the envelope of the rows of the cells that hold
+    on every cell is the union iff the relative interior point of every piece
+    of its split by the walls of the region lies in one of the cells."""
     # merging overlapping cells would lose the frame counted twice on their overlap
-    if a.poly.intersect(b.poly).canonical().dim == a.poly.dim:
+    if any(a.intersect(b).canonical().dim == a.dim for a, b in combinations(polys, 2)):
         return None
-    valid = [(c, r) for p, q in ((a.poly, b.poly), (b.poly, a.poly)) for c, r in p.ineq
-             if (res := q.maximize(c)).status == "optimal" and res.value <= r]
-    merged = HPoly(ambient, a.poly.eq, valid).canonical()
-    for piece in split_by_hyperplanes(merged, hyperplanes_of_cells([a.poly, b.poly])):
+    valid = [(c, r) for p in polys for c, r in p.ineq
+             if all((res := q.maximize(c)).status == "optimal" and res.value <= r
+                    for q in polys)]
+    merged = HPoly(polys[0].ambient, polys[0].eq, valid).canonical()
+    for piece in split_by_hyperplanes(merged, hyperplanes_of_cells(polys)):
         q = piece.relint_point()
-        if not (a.poly.contains_point(q) or b.poly.contains_point(q)):
-            return None
-    for o in others:
-        inter = merged.intersect(o.poly).canonical()
-        if inter.is_empty():
-            continue
-        q = inter.relint_point()
-        if merged.smallest_face_at(q).key != inter.key or \
-                o.poly.smallest_face_at(q).key != inter.key:
+        if not any(p.contains_point(q) for p in polys):
             return None
     return merged
 
@@ -445,40 +437,109 @@ def _square(x0, x1, y0, y1):
             ((F(0), F(1)), F(y1)), ((F(0), F(-1)), F(-y0))]
 
 
+_ROW3 = (_square(0, 1, 0, 1), _square(1, 2, 0, 1), _square(2, 3, 0, 1))
+_L3 = (_square(0, 1, 0, 1), _square(1, 2, 0, 1), _square(0, 1, 1, 2))
+_L4 = _ROW3 + (_square(0, 1, 1, 2),)
+
+
 class TestMergeVerdict:
     @settings(max_examples=80, deadline=None)
-    @given(pair=_cell_pair(), plane=planes)
-    @example(pair=(_square(0, 1, 0, 1), _square(1, 2, 0, 1)), plane=None)  # touching
-    @example(pair=(_square(0, 2, 0, 1), _square(1, 3, 0, 1)), plane=None)  # overlapping
-    @example(pair=(_square(0, 3, 0, 3), _square(1, 2, 1, 2)), plane=None)  # nested
-    @example(pair=(_square(0, 2, 0, 1), _square(0, 1, 1, 2)), plane=None)  # L-shaped
-    @example(pair=(_square(0, 1, 0, 1), _square(1, 2, 0, 1)), plane=((1, 1), 2, (0, -1), 1))
-    @example(pair=([_cut((1, 0), 0)], [_cut((1, 0), 0, below=False)]), plane=None)
-    @example(pair=([_cut((1, 0), 0), _cut((0, 1), 0)],
-                   [_cut((1, 0), 0), _cut((0, 1), 0, below=False)]), plane=None)
-    def test_envelope_verdict_matches_split(self, pair, plane):
-        a, b = (plane_cell(rows, plane) for rows in pair)
-        assume(a.dim == 2 and b.dim == 2)
-        frame = Alt(0, {(): CRat(1)})  # only compared for equality
-        ca, cb = FramedCell(a, frame), FramedCell(b, frame)
-        got = framed._mergeable(ca, cb, [], a.ambient)
-        want = _mergeable_by_split(ca, cb, [], a.ambient)
+    @given(cells=_cell_pair(), plane=planes)
+    @example(cells=(_square(0, 1, 0, 1), _square(1, 2, 0, 1)), plane=None)  # touching
+    @example(cells=(_square(0, 2, 0, 1), _square(1, 3, 0, 1)), plane=None)  # overlapping
+    @example(cells=(_square(0, 3, 0, 3), _square(1, 2, 1, 2)), plane=None)  # nested
+    @example(cells=(_square(0, 2, 0, 1), _square(0, 1, 1, 2)), plane=None)  # L-shaped
+    @example(cells=(_square(0, 1, 0, 1), _square(1, 2, 0, 1)), plane=((1, 1), 2, (0, -1), 1))
+    @example(cells=([_cut((1, 0), 0)], [_cut((1, 0), 0, below=False)]), plane=None)
+    @example(cells=([_cut((1, 0), 0), _cut((0, 1), 0)],
+                    [_cut((1, 0), 0), _cut((0, 1), 0, below=False)]), plane=None)
+    @example(cells=_ROW3, plane=None)  # three in a row: merge
+    @example(cells=_ROW3, plane=((1, 1), 2, (0, -1), 1))
+    @example(cells=_L3, plane=None)  # an L of three: no merge
+    @example(cells=_L4, plane=None)  # an L of four: no merge, not even of its row
+    @example(cells=([_cut((1, 0), 0)], [_cut((1, 0), 0)]), plane=None)  # one half-plane twice
+    @example(cells=(_square(0, 1, 0, 1), _square(0, 1, 0, 1)), plane=None)
+    def test_envelope_verdict_matches_split(self, cells, plane):
+        polys = [plane_cell(rows, plane) for rows in cells]
+        assume(all(p.dim == 2 for p in polys))
+        got = framed._region_union(polys)
+        want = _union_by_split(polys)
         assert (got is None) == (want is None)
         if got is not None:
             assert got.key == want.key
             # canonical as built
-            assert got.key == HPoly(a.ambient, got.eq, got.ineq).canonical().key
+            assert got.key == HPoly(got.ambient, got.eq, got.ineq).canonical().key
 
     def test_canonicalize_matches_split_on_corpus(self, polytope_corpus, monkeypatch):
         fans = [dual_fan_etp(gamma, k, validate=False).framed_rep()
                 for _, gamma in polytope_corpus for k in valid_k_range(gamma)]
         got = [canonicalize(rep, validate=False) for rep in fans]
-        monkeypatch.setattr(framed, "_mergeable", _mergeable_by_split)
+        monkeypatch.setattr(framed, "_region_union", _union_by_split)
         want = [canonicalize(rep, validate=False) for rep in fans]
         assert any(len(w.cells()) < len(rep.cells) for rep, w in zip(fans, want))
         for g, w in zip(got, want):
             assert [(c.poly.key, c.frame) for c in g.cells()] == \
                 [(c.poly.key, c.frame) for c in w.cells()]
+
+
+def _unit_squares(cells):
+    frame = Alt(0, {(): CRat(1)})
+    return FramedSet(1, 2, [FramedCell(plane_cell(rows, None), frame) for rows in cells])
+
+
+def _cone(u, v):
+    """The cone over the rays u and v, turning counterclockwise from u."""
+    return [((F(u[1]), F(-u[0])), F(0)), ((F(-v[1]), F(v[0])), F(0))]
+
+
+# five cones under 180 degrees winding twice around the origin: every ray
+# has two owners, one on each side, and no row bounds the union
+_DOUBLE_COVER = [(1, 0), (-1, 1), (-1, -3), (1, 2), (-1, -1)]
+
+
+class TestRegionMerging:
+    def test_row_merges_and_ls_stay(self):
+        assert len(canonicalize(_unit_squares(_ROW3), validate=False).cells()) == 1
+        # a region merges whole or not at all: the pairwise merge made 3 cells of L4
+        assert len(canonicalize(_unit_squares(_L3), validate=False).cells()) == 3
+        assert len(canonicalize(_unit_squares(_L4), validate=False).cells()) == 4
+
+    def test_wall_with_a_third_owner_is_not_crossed(self):
+        """The real axis cut at -1 and at 0, and an edge at 0: the wall at 0
+        is not free, so the two pieces left of it merge and the line stays
+        cut at 0.  Joining across it would make one region whose union, the
+        line, is not face-to-face with the edge, and nothing would merge."""
+        axis = ((F(0), F(1)), F(0))
+
+        def piece(*rows):
+            return HPoly(2, eq=[axis], ineq=[((F(a), F(0)), F(b)) for a, b in rows]).canonical()
+
+        frame = Alt(1, {(0,): CRat(1)})
+        edge = HPoly(2, eq=[((F(1), F(0)), F(0))], ineq=[((F(0), F(-1)), F(0))]).canonical()
+        x = FramedSet(1, 1, [FramedCell(p, frame) for p in
+                             (piece((1, -1)), piece((-1, 1), (1, 0)), piece((-1, 0)))]
+                      + [FramedCell(edge, Alt(1, {(0,): CRat(0, 1)}))])
+        got = canonicalize(x, validate=False).cells()
+        assert sorted(c.poly.key for c in got) == \
+            sorted([piece((1, 0)).key, piece((-1, 0)).key, edge.key])
+
+    def test_full_grade_fans_are_one_cell(self, polytope_corpus):
+        for _, gamma in polytope_corpus:
+            n = gamma.ambient // 2
+            if 2 * n in valid_k_range(gamma):
+                cells = dual_fan_etp(gamma, 2 * n).result.cells()
+                assert len(cells) == 1
+                assert cells[0].poly.eq == () and cells[0].poly.ineq == ()
+
+    def test_double_cover_of_the_plane_does_not_merge(self):
+        rays = _DOUBLE_COVER
+        x = _unit_squares([_cone(u, v) for u, v in zip(rays, rays[1:] + rays[:1])])
+        assert is_etp(x).ok
+        assert framed._region_union([c.poly for c in x.cells]) is None
+        got = canonicalize(x)
+        assert len(got.cells()) == 5
+        assert equivalent(got, x)
+        assert not equivalent(got, _unit_squares([[]]))
 
 
 class TestMergeLpCount:
@@ -500,5 +561,9 @@ class TestMergeLpCount:
         monkeypatch.setattr(polyhedra, "split_by_hyperplanes", no_split)
         polyhedra._CANONICAL_MEMO.clear()
         merged = canonicalize(rep, validate=False)
-        assert len(rep.cells) == 6 and len(merged.cells()) == 3
-        assert calls[0] == 100  # 156 with the union LPs, 338 with the split test
+        assert len(rep.cells) == 6 and len(merged.cells()) == 1
+        # the union is the plane: no boundary row, and the interior point of the
+        # first cone is kept from building the fan, so no LP; the pairwise
+        # merge solved 100 LPs for 3 cells
+        assert rep.cells[0].poly._relint is not None
+        assert calls[0] == 0

@@ -68,3 +68,35 @@ def test_only_polyhedra_solves_lps():
         elif isinstance(node, ast.Attribute) and node.attr == "solve_lp":
             importers.add(name)
     assert importers == {"polyhedra.py"}
+
+
+def _names_read(node):
+    """Names that a syntax tree reads: loaded names, attributes and imports."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.ImportFrom):
+            yield from (alias.name for alias in sub.names)
+
+
+def _names_bound(stmt):
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else \
+        [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def test_every_private_name_is_used():
+    """Each module-level private name of the library is read by some other
+    top-level statement of the library, so no leftover helper stays behind."""
+    statements = [(path.name, stmt) for path in sorted((ROOT / "src" / "etv").glob("*.py"))
+                  for stmt in ast.parse(path.read_text(encoding="utf-8")).body]
+    reads = [set(_names_read(stmt)) for _, stmt in statements]
+    for i, (name, stmt) in enumerate(statements):
+        for bound in _names_bound(stmt):
+            if bound.startswith("_") and not bound.startswith("__"):
+                assert any(bound in r for j, r in enumerate(reads) if j != i), \
+                    f"{name}:{stmt.lineno} defines {bound}, which nothing reads"
