@@ -7,6 +7,13 @@ subfamily with independent representatives, then repeatedly shrink to the
 subfamily whose sets lie in the span of their own representatives; the
 loop ends with p sets inside a (p-1)-dimensional subspace.
 
+Independence and span tests reduce one vector at a time against one
+incremental echelon form (`linalg.EchelonBasis`); the backtracking search
+pushes a vector when it is independent of the chosen ones and pops it when
+the branch fails.  Each test is cheap, but the search still tries every
+partial transversal in the worst case, so it is exponential in the number
+of sets; matroid intersection (Edmonds 1970) would make it polynomial.
+
 The same machinery runs over Q (real bodies, mixed volumes) and over Q(i)
 (hyperplane equations of corner loci).
 """
@@ -19,7 +26,7 @@ from itertools import combinations
 
 from .exterior import complex_annihilator, real_covector_to_ccov
 from .framed import EtvRep
-from .linalg import kernel_basis, rank, rref
+from .linalg import EchelonBasis, kernel_basis, rref
 from .monge import AffineFunc, PLFunction, corner_locus
 from .scalars import CRat
 
@@ -53,33 +60,34 @@ class DegeneracyWitness:
     subspace_basis: tuple  # (p-1) covectors spanning H
 
     def validate(self, family: VectorFamily) -> bool:
-        basis = list(self.subspace_basis)
-        if len(rref(basis)[0]) != self.p - 1:
+        span = EchelonBasis(self.subspace_basis)
+        if len(span) != self.p - 1:
             return False
         if len(self.set_indices) != self.p:
             return False
-        for i in self.set_indices:
-            for v in family.sets[i]:
-                if rank(basis + [v]) > self.p - 1:
-                    return False
-        return True
+        return all(span.contains(v)
+                   for i in self.set_indices for v in family.sets[i])
 
 
-def _extend_transversal(sets, chosen):
-    """Backtracking search for an independent transversal of the sets."""
+def _extend_transversal(sets, span):
+    """Backtracking search for an independent transversal of the sets.
+
+    `span` holds the vectors chosen so far and is left as it was found.
+    """
     if not sets:
         return []
     head, tail = sets[0], sets[1:]
     for v in head:
-        if rank(chosen + [v]) > len(chosen):
-            rest = _extend_transversal(tail, chosen + [v])
+        if span.add(v):
+            rest = _extend_transversal(tail, span)
+            span.pop()
             if rest is not None:
                 return [v] + rest
     return None
 
 
 def _subfamily_transversal(family: VectorFamily, indices):
-    return _extend_transversal([family.sets[i] for i in indices], [])
+    return _extend_transversal([family.sets[i] for i in indices], EchelonBasis())
 
 
 def is_nondegenerate(family: VectorFamily) -> bool:
@@ -89,35 +97,36 @@ def is_nondegenerate(family: VectorFamily) -> bool:
     return _subfamily_transversal(family, range(family.k)) is not None
 
 
-def _span_contains_set(basis, vectors) -> bool:
-    r = len(basis)
-    return all(rank(list(basis) + [v]) == r for v in vectors)
-
-
 def degeneracy_witness(family: VectorFamily) -> DegeneracyWitness:
     """Constructive witness: p sets inside a (p-1)-dim subspace.
 
     Implements the narrowing proof: maximal nondegenerate subfamily with
     representatives c_i, an outside set C whose span lies in span(c_i),
     then repeated restriction to the sets contained in the current span.
+    The greedy pass decides degeneracy on the way: the family is
+    nondegenerate exactly when it chooses every set.  It stops at n chosen
+    sets, since n + 1 vectors in an n-dimensional space are dependent.
     """
-    if is_nondegenerate(family):
-        raise ValueError("family is nondegenerate; no witness exists")
     chosen: list = []
     reps: list = []
     for i in range(family.k):
+        if len(chosen) == family.n:
+            break
         transversal = _subfamily_transversal(family, chosen + [i])
         if transversal is not None:
             chosen.append(i)
             reps = transversal
+    if len(chosen) == family.k:
+        raise ValueError("family is nondegenerate; no witness exists")
     outside = next(i for i in range(family.k) if i not in chosen)
     rep_of = dict(zip(chosen, reps))
 
     current = list(chosen)
     while True:
         basis = rref([rep_of[i] for i in current])[0]
+        span = EchelonBasis(basis)
         inside = [i for i in current
-                  if _span_contains_set(basis, family.sets[i])]
+                  if all(span.contains(v) for v in family.sets[i])]
         if len(inside) == len(current):
             witness = DegeneracyWitness(
                 p=len(current) + 1,

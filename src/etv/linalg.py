@@ -7,10 +7,14 @@ integers and the new row is divided by its content, and Fractions are
 built only for the result (Bareiss 1968 for `det`).  Input with a CRat
 entry takes the field-generic path (`_rref_field`, `_det_field`), whose
 entries only need +, -, *, / and == 0.  Both paths pick the same pivots
-and return the same values.  Small integer results are shared Fraction
-objects.  Reduced row echelon form is the canonical form used throughout
-the library for subspaces, so two equal subspaces always produce
-identical bases.
+and return the same values.  Small integer results are the shared
+Fraction objects of `etv.scalars`.  Reduced row echelon form is the
+canonical form used throughout the library for subspaces, so two equal
+subspaces always produce identical bases.
+
+`EchelonBasis` keeps a growing set of independent rows for searches that
+add and remove one vector at a time: each independence test reduces the
+new vector once against the kept rows instead of eliminating them again.
 """
 
 from __future__ import annotations
@@ -19,15 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-_SMALL = {k: Fraction(k) for k in range(-16, 17)}
-
-
-def _fraction(num: int, den: int = 1) -> Fraction:
-    """num/den as a Fraction; integers in [-16, 16] are shared objects."""
-    q, m = divmod(num, den)
-    if m:
-        return Fraction(num, den)
-    return _SMALL[q] if -16 <= q <= 16 else Fraction(q)
+from .scalars import _fraction
 
 
 def _int_rows(rows: Sequence[Sequence]):
@@ -132,6 +128,54 @@ def rank(rows: Sequence[Sequence]) -> int:
     return len(_eliminate(ints[0], False))
 
 
+class EchelonBasis:
+    """Independent rows in echelon form, kept in insertion order.
+
+    Each kept row has entry one at its pivot column, zeros before it and
+    zeros at the pivots of the rows added before it.  Reducing a vector by
+    the rows in insertion order therefore clears every pivot in one pass,
+    one row operation per kept row.  Entries need only +, -, *, / and a
+    truth value (nonzero), so the same code runs over Q and Q(i).  The
+    rows given to the constructor are added in order; dependent ones are
+    skipped.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: Sequence[Sequence] = ()):
+        self._rows: list[tuple[int, tuple]] = []  # (pivot column, row)
+        for v in rows:
+            self.add(v)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def _reduce(self, v: Sequence) -> Sequence:
+        for p, row in self._rows:
+            f = v[p]
+            if f:
+                v = [x - f * y if y else x for x, y in zip(v, row)]
+        return v
+
+    def add(self, v: Sequence) -> bool:
+        """Keep v if it is independent of the kept rows; True when kept."""
+        r = self._reduce(v)
+        for p, x in enumerate(r):
+            if x:
+                inv = 1 / (Fraction(x) if isinstance(x, int) else x)
+                self._rows.append((p, tuple(y * inv if y else y for y in r)))
+                return True
+        return False
+
+    def pop(self) -> None:
+        """Drop the row added last."""
+        self._rows.pop()
+
+    def contains(self, v: Sequence) -> bool:
+        """v lies in the span of the kept rows."""
+        return not any(self._reduce(v))
+
+
 def kernel_basis(rows: Sequence[Sequence], ncols: int, one=Fraction(1)) -> list[tuple]:
     """Canonical (rref) basis of {x : rows @ x = 0} in an ncols-dim space."""
     red, pivots = rref(rows)
@@ -186,7 +230,7 @@ def det(rows: Sequence[Sequence]):
             if mat[piv][c]:
                 break
         else:
-            return _SMALL[0]
+            return _fraction(0)
         if piv != c:
             mat[c], mat[piv] = mat[piv], mat[c]
             sign = -sign

@@ -4,6 +4,11 @@ Rationals are plain ``fractions.Fraction``.  Complex scalars are pairs of
 Fractions forming the field Q(i).  Everything downstream (forms, polyhedra,
 linear algebra) works over one of these two fields; no floating point is
 used anywhere in the library.
+
+Integers in [-16, 16] are shared Fraction objects, and a CRat whose parts
+are both such integers is a shared instance, so the small values that
+exact elimination produces over and over are stored once.  CRat values are
+never mutated.
 """
 
 from __future__ import annotations
@@ -11,6 +16,17 @@ from __future__ import annotations
 from fractions import Fraction
 
 Rat = Fraction
+
+_SMALL = {k: Fraction(k) for k in range(-16, 17)}
+_GAUSSIAN: dict = {}  # a*33 + b -> CRat(a, b) for |a|, |b| <= 16, filled on first use
+
+
+def _fraction(num: int, den: int = 1) -> Fraction:
+    """num/den as a Fraction; integers in [-16, 16] are shared objects."""
+    q, m = divmod(num, den)
+    if m:
+        return Fraction(num, den)
+    return _SMALL[q] if -16 <= q <= 16 else Fraction(q)
 
 
 def rat(x) -> Fraction:
@@ -36,9 +52,34 @@ class CRat:
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+    def __new__(cls, re=0, im=0):
+        if not isinstance(re, Fraction):
+            re = Fraction(re)
+        if not isinstance(im, Fraction):
+            im = Fraction(im)
+        a, b = re.numerator, im.numerator
+        small_b = im.denominator == 1 and -16 <= b <= 16
+        key = None
+        if re.denominator == 1 and -16 <= a <= 16:
+            re = _SMALL[a]
+            if small_b:
+                key = a * 33 + b
+                z = _GAUSSIAN.get(key)
+                if z is not None:
+                    return z
+        if small_b:
+            im = _SMALL[b]
+        z = object.__new__(cls)
+        z.re = re
+        z.im = im
+        if key is not None:
+            _GAUSSIAN[key] = z
+        return z
+
+    def __reduce__(self):
+        # The default would build CRat() -- the shared zero -- and then set
+        # its parts; rebuilding from the parts keeps shared values intact.
+        return CRat, (self.re, self.im)
 
     @staticmethod
     def of(x) -> "CRat":

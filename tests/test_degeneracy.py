@@ -3,6 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
+import degeneracy_reference as ref
+from etv import degeneracy
 from etv.degeneracy import (DegeneracyWitness, HDegeneracyCertificate,
                             VectorFamily, degeneracy_witness,
                             hyperplane_equations, is_nondegenerate,
@@ -102,6 +104,120 @@ class TestAgainstOracle:
             if not nd:
                 w = degeneracy_witness(fam)
                 assert w.validate(fam)
+
+
+def _gaussian_vector(rng, n, real=False):
+    while True:
+        v = tuple(CRat(rng.randint(-3, 3), 0 if real else rng.randint(-3, 3))
+                  for _ in range(n))
+        if any(not c.is_zero() for c in v):
+            return v
+
+
+def _combination(rng, basis, n):
+    while True:
+        coeffs = [CRat(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in basis]
+        v = tuple(sum((c * b[j] for c, b in zip(coeffs, basis)), CRat(0))
+                  for j in range(n))
+        if any(not c.is_zero() for c in v):
+            return v
+
+
+def template_family(rng, n, kind, p=0):
+    """Families shaped like the benchmark's: k = n sets of two generic
+    vectors (free), the last p of them inside a random (p-1)-dim subspace
+    (planted), or k = n + 1 generic sets (over)."""
+    k = n + 1 if kind == "over" else n
+    sets = [[_gaussian_vector(rng, n) for _ in range(2)] for _ in range(k)]
+    if kind == "planted":
+        basis = [_gaussian_vector(rng, n) for _ in range(p - 1)]
+        for i in range(k - p, k):
+            sets[i] = [_combination(rng, basis, n) for _ in range(2)]
+    return VectorFamily(n, tuple(tuple(s) for s in sets))
+
+
+def rational_family(rng, n, k):
+    """Real covectors with halves, drawn from a subspace of random dimension
+    so that degenerate families are common."""
+    gens = [_gaussian_vector(rng, n, real=True) for _ in range(rng.randint(1, n))]
+    sets = []
+    for _ in range(k):
+        vecs = []
+        while len(vecs) < rng.randint(1, 3):
+            coeffs = [CRat(F(rng.randint(-2, 2), rng.randint(1, 2))) for _ in gens]
+            v = tuple(sum((c * g[j] for c, g in zip(coeffs, gens)), CRat(0))
+                      for j in range(n))
+            if any(not c.is_zero() for c in v):
+                vecs.append(v)
+        sets.append(tuple(vecs))
+    return VectorFamily(n, tuple(sets))
+
+
+def _verdict_and_witness(module, fam):
+    nondegenerate = module.is_nondegenerate(fam)
+    return nondegenerate, None if nondegenerate else module.degeneracy_witness(fam)
+
+
+class TestAgainstRankReference:
+    """The echelon-form search returns exactly what the search by
+    `rank(chosen + [v])` returned: the same verdict and the same witness."""
+
+    def _families(self):
+        rng = random.Random(1942)
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            yield random_family(rng, n, rng.randint(1, n + 2))
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            yield rational_family(rng, n, rng.randint(1, n + 2))
+        for n, kind, p in [(3, "free", 0), (4, "free", 0), (5, "free", 0),
+                           (4, "planted", 2), (4, "planted", 3), (5, "planted", 2),
+                           (4, "over", 0), (5, "over", 0)]:
+            for _ in range(2):
+                yield template_family(rng, n, kind, p)
+
+    def test_verdicts_and_witnesses_equal_reference(self):
+        kinds = set()
+        for fam in self._families():
+            got = _verdict_and_witness(degeneracy, fam)
+            assert got == _verdict_and_witness(ref, fam)
+            kinds.add("nondegenerate" if got[0] else got[1].p)
+        assert {"nondegenerate", 2, 3, 4} <= kinds
+
+
+class TestWitnessSearchCount:
+    def _count_searches(self, monkeypatch):
+        def forbidden(family):
+            raise AssertionError("degeneracy_witness re-ran is_nondegenerate")
+        monkeypatch.setattr(degeneracy, "is_nondegenerate", forbidden)
+        calls = []
+        search = degeneracy._subfamily_transversal
+        monkeypatch.setattr(degeneracy, "_subfamily_transversal",
+                            lambda fam, idx: calls.append(idx) or search(fam, idx))
+        return calls
+
+    def test_nondegenerate_family_raises_without_verdict_call(self, monkeypatch):
+        calls = self._count_searches(monkeypatch)
+        fam = template_family(random.Random(7), 4, "free")
+        with pytest.raises(ValueError):
+            degeneracy_witness(fam)
+        assert len(calls) == fam.k
+
+    def test_overfull_family_stops_at_n_chosen_sets(self, monkeypatch):
+        calls = self._count_searches(monkeypatch)
+        rng = random.Random(11)
+        for n in range(2, 6):
+            fam = template_family(rng, n, "over")
+            del calls[:]
+            w = degeneracy_witness(fam)
+            assert w == ref.degeneracy_witness(fam)
+            assert len(calls) == n   # generic sets: the first n are chosen
+        for _ in range(20):
+            n = rng.randint(1, 4)
+            fam = random_family(rng, n, n + 1)
+            del calls[:]
+            assert degeneracy_witness(fam) == ref.degeneracy_witness(fam)
+            assert len(calls) <= n + 1
 
 
 class TestHyperplaneEquations:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import sys
 from fractions import Fraction as F
 
@@ -7,8 +9,8 @@ from hypothesis import strategies as st
 
 from etv import linalg
 from etv.dualfan import dual_fan_etp, valid_k_range
-from etv.linalg import (basis_change_sign, det, intersect_rowspaces, kernel_basis,
-                        rank, rref, scale_primitive, solve)
+from etv.linalg import (EchelonBasis, basis_change_sign, det, intersect_rowspaces,
+                        kernel_basis, rank, rref, scale_primitive, solve)
 from etv.scalars import CRat
 import orientation_reference as oref
 from orientation_reference import coords_in_basis, in_span
@@ -219,6 +221,20 @@ def test_small_integers_are_shared(polytope_corpus):
     assert len(values) > 100 and _shared(values)
 
 
+def test_small_gaussian_integers_are_shared():
+    C = CRat
+    assert C(2, -1) is C(F(2), -1) and C(1, 1) * C(1, -1) is C(2)
+    assert C(F(1, 2), 3).im is C(3).re and C(F(-32, 2)).re is C(-16).re
+    assert C(17) is not C(17) and C(F(1, 2), 3) is not C(F(1, 2), 3)
+    for z, re, im in [(C(0), 0, 0), (C(2, -1), 2, -1), (C(-16, 16), -16, 16), (C(17), 17, 0),
+                      (C(F(1, 2), 3), F(1, 2), 3), (C(0, -17), 0, -17)]:
+        assert z == C(F(re), F(im)) and (z.re, z.im) == (re, im)
+        assert hash(z) == (hash(F(re)) if im == 0 else hash((F(re), F(im))))
+        for copied in (pickle.loads(pickle.dumps(z)), copy.copy(z), copy.deepcopy(z)):
+            assert copied == z and (copied is z) == (z is C(re, im))
+    assert C(2) == 2 and hash(C(2)) == hash(2) and C(0).is_zero()
+
+
 def test_field_path_returns_no_floats():
     """Int entries next to a CRat are divided as Fractions, never as floats."""
     C = CRat
@@ -229,6 +245,45 @@ def test_field_path_returns_no_floats():
     assert _typed(d) == _typed(C(0, 2))
     for x in [x for row in red for x in row] + [d, d.re, d.im]:
         assert not isinstance(x, float)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_echelon_basis_tracks_rank(data):
+    """After any sequence of add and pop, the kept rows have full rank, add
+    keeps a vector exactly when it raises the rank, and contains holds
+    exactly when it does not; over Q (Fraction or int entries) and over Q(i)."""
+    ncols = data.draw(st.integers(1, 4))
+    entry = data.draw(st.sampled_from([rat, st.integers(-4, 4), st.builds(CRat, rat, rat)]))
+    drawn = []
+
+    def vector():
+        """A fresh vector, or a combination of two drawn ones (often dependent)."""
+        if drawn and data.draw(st.booleans()):
+            u, w = data.draw(st.sampled_from(drawn)), data.draw(st.sampled_from(drawn))
+            a, b = data.draw(rat), data.draw(rat)
+            return tuple(a * x + b * y for x, y in zip(u, w))
+        v = tuple(data.draw(st.lists(entry, min_size=ncols, max_size=ncols)))
+        drawn.append(v)
+        return v
+
+    basis, kept = EchelonBasis(), []
+    for op in data.draw(st.lists(st.sampled_from(["add", "pop", "contains"]), max_size=12)):
+        if op == "pop":
+            if kept:
+                basis.pop()
+                kept.pop()
+            continue
+        v = vector()
+        grows = rank(kept + [v]) > len(kept)
+        if op == "add":
+            assert basis.add(v) == grows
+            if grows:
+                kept.append(v)
+        else:
+            assert basis.contains(v) == (not grows)
+        assert len(basis) == rank(kept) == len(kept)
+    assert len(EchelonBasis(drawn)) == rank(drawn)
 
 
 # ---------------------------------------------------------------------------
