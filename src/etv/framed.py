@@ -19,7 +19,9 @@ cells, and the corner locus of a PL function is the boundary of its
 linearity tiling with each cell framed by d^c of the function there.
 
 Neighbours come from one facet-owner index, facet key -> the cells that
-have that facet, and one union-find over it.  `irreducible_components`
+have that facet, and one union-find over it.  Cells do not cache their
+facets; `canonicalize` builds those of each cell once per call, in a dict
+that its restarts and region unions share.  `irreducible_components`
 joins cells across every shared facet.  `canonicalize` joins equal-framed
 cells of one hull across free walls, facets that only those two cells own,
 and makes each region one cell, the envelope of the rows of its boundary
@@ -248,12 +250,21 @@ def _framed(p) -> FramedSet:
     return p.framed if isinstance(p, EtvRep) else p
 
 
-def _facet_owners(cells):
+def _facets(poly: HPoly, known: dict):
+    """`facets_with_normals` of a canonical cell, built once per cell key of
+    `known`, a dict that lives for one call of `canonicalize`."""
+    out = known.get(poly.key)
+    if out is None:
+        out = known[poly.key] = poly.facets_with_normals()
+    return out
+
+
+def _facet_owners(cells, known: dict):
     """Facet key -> indices of the cells that have that facet: the one
     neighbour index of `canonicalize` and `irreducible_components`."""
     owners: dict = {}
     for i, c in enumerate(cells):
-        for facet, _ in c.poly.facets_with_normals():
+        for facet, _ in _facets(c.poly, known):
             owners.setdefault(facet.key, []).append(i)
     return owners
 
@@ -278,13 +289,13 @@ def _joined(count, links):
     return list(classes.values())
 
 
-def _region_union(polys):
+def _region_union(polys, known: dict):
     """The union of a region as one canonical cell, or None: tests (a) to (c)
     of the lemma of `canonicalize`, one LP per boundary row and cell that
     lacks it and at most one for an interior point."""
     owners: dict = {}
     for p in polys:
-        for f, row in p.facets_with_normals():
+        for f, row in _facets(p, known):
             owners.setdefault(f.key, []).append(row)
     if any(len(own) > 2 or own[1] != (tuple(-x for x in own[0][0]), -own[0][1])
            for own in owners.values() if len(own) > 1):
@@ -345,14 +356,15 @@ def canonicalize(x, validate=True) -> EtvRep:
         if not report.ok:
             raise ValueError(f"not a valid cycle: {report.witness}")
     cells = _sum_cells(x.n, x.k, ((c.poly, c.frame) for c in x.cells)).support_cells()
+    known: dict = {}  # cell key -> its facets, across the restarts
     while True:
-        walls = (own for own in _facet_owners(cells).values() if len(own) == 2
+        walls = (own for own in _facet_owners(cells, known).values() if len(own) == 2
                  and cells[own[0]].poly.eq == cells[own[1]].poly.eq
                  and cells[own[0]].frame == cells[own[1]].frame)
         for region in _joined(len(cells), walls):
             if len(region) < 2:
                 continue
-            merged = _region_union([cells[i].poly for i in region])
+            merged = _region_union([cells[i].poly for i in region], known)
             rest = [c for i, c in enumerate(cells) if i not in region]
             if merged is not None and all(face_to_face(merged, o.poly) for o in rest):
                 cells = rest + [FramedCell(merged, cells[region[0]].frame)]
@@ -464,7 +476,7 @@ def irreducible_components(p) -> list[EtvRep]:
     x = _framed(p)
     cells = x.support_cells()
     return [EtvRep(FramedSet(x.n, x.k, [cells[i] for i in comp]), _checked=True)
-            for comp in _joined(len(cells), _facet_owners(cells).values())]
+            for comp in _joined(len(cells), _facet_owners(cells, {}).values())]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .framed import (EtvRep, FramedCell, FramedSet, _framed, boundary,
                      canonicalize, cell_weight, equivalent, translate, zero_etv)
 from .intersection import product_many
 from .linalg import rref
-from .polyhedra import HPoly, VPolytope, volume
+from .polyhedra import HPoly, VPolytope, full_dimensional, volume
 from .scalars import CRat
 
 _ZERO = Fraction(0)
@@ -124,10 +124,8 @@ def linearity_complex(h: PLFunction) -> list:
         ri = _max_region(h.plus, i, ambient)
         for j in range(len(h.minus)):
             rj = _max_region(h.minus, j, ambient)
-            region = ri.intersect(rj).canonical()
-            if region.is_empty() or region.dim < ambient:
-                continue
-            if region.key in seen:
+            region = full_dimensional(ambient, ri.ineq + rj.ineq)
+            if region is None or region.key in seen:
                 continue
             seen.add(region.key)
             cells.append(LinearityCell(region, h.plus[i], h.minus[j]))

@@ -38,12 +38,38 @@ After the reduction modulo the hull every surviving inequality is nonzero
 on a free coordinate of the hull, so no inequality is implied by the hull
 alone and only the redundancy test against the other inequalities is run.
 
+An LP whose answer follows from a known point of the set is skipped:
+- emptiness (`HPoly.is_empty`): when every inequality has b >= 0 and every
+  equality b = 0, the origin is a point of the set, so it is nonempty.
+  Every dual cone and every cone of a dual fan is answered this way.
+- implicit equalities (the scan of `_canonical_form`): a row that is
+  strictly slack at a point of the set is not tight on all of it.  The
+  known points are the origin, when it is a point of the set, and the
+  optimum of every scan LP so far.  The scan LP of a row a.z <= b
+  minimizes a.z under the extra bound a.z >= b - 1, so it is never
+  unbounded and returns a point whenever the set reaches that bound; its
+  value is b exactly when the row is an implicit equality.
+- full dimension (`full_dimensional`, the linearity regions of
+  `monge.linearity_complex`): one max-slack LP, max t subject to
+  a.z + t <= b and t <= 1, is positive exactly when the set has an
+  interior point.  Such a set has no implicit equality, so its canonical
+  form is `_canonical_from_hull` of its primitive rows, with no emptiness
+  LP and no scan.  The helper reads and fills the memo of `canonical`
+  under the same key; a set that is not full-dimensional is not
+  remembered.  The general canonical form does not run this LP: most of
+  its nonempty inputs in stable intersections are lower-dimensional, and
+  there the extra LP is wasted.
+Each shortcut only skips an LP whose answer it already knows, and the
+canonical form is unique, so every canonical form is the one the LPs give.
+
 Facets of a canonical cell skip the front half of the canonical form: each
 row of the cell cuts out a nonempty facet whose affine hull is the cell's
 hull plus that row (see `HPoly.facets_with_normals`), so the facet goes
-straight to `_canonical_from_hull` and bypasses the memo.  `HPoly.faces`
-walks these facets down to a given dimension: vertices, stable candidates
-and the minimal faces behind transversality all come from that one descent.
+straight to `_canonical_from_hull` and bypasses the memo.  Facets are not
+cached on the cell, since cells outlive the computations that need them;
+`framed.canonicalize` keeps them for one call.  `HPoly.faces` walks these
+facets down to a given dimension: vertices, stable candidates and the
+minimal faces behind transversality all come from that one descent.
 """
 
 from __future__ import annotations
@@ -85,7 +111,7 @@ class HPoly:
     """Rational H-polyhedron {z : eq. z = rhs, ineq . z <= rhs}."""
 
     __slots__ = ("ambient", "eq", "ineq", "_canonical", "_empty", "_tangent",
-                 "_relint", "_key", "_facets")
+                 "_relint", "_key")
 
     def __init__(self, ambient: int, eq=(), ineq=(), _canonical=False):
         self.ambient = ambient
@@ -96,7 +122,6 @@ class HPoly:
         self._tangent = None
         self._relint = None
         self._key = None
-        self._facets = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -136,10 +161,13 @@ class HPoly:
 
     def is_empty(self) -> bool:
         if self._empty is None:
-            res = solve_lp([_ZERO] * self.ambient,
-                           [list(a) for a, _ in self.ineq], [b for _, b in self.ineq],
-                           [list(a) for a, _ in self.eq], [b for _, b in self.eq])
-            self._empty = res.status != OPTIMAL
+            if _holds_at_origin(self.eq, self.ineq):
+                self._empty = False
+            else:
+                res = solve_lp([_ZERO] * self.ambient,
+                               [list(a) for a, _ in self.ineq], [b for _, b in self.ineq],
+                               [list(a) for a, _ in self.eq], [b for _, b in self.eq])
+                self._empty = res.status != OPTIMAL
         return self._empty
 
     def _optimize(self, coeffs, maximize):
@@ -161,36 +189,36 @@ class HPoly:
         out = _CANONICAL_MEMO.get(key)
         if out is None:
             out = self._canonical_form()
-            if len(_CANONICAL_MEMO) >= _CANONICAL_MEMO_CAP:
-                del _CANONICAL_MEMO[next(iter(_CANONICAL_MEMO))]
-            _CANONICAL_MEMO[key] = out
+            _remember(key, out)
         self._empty = out._empty
         return out
 
     def _canonical_form(self) -> "HPoly":
         if self.is_empty():
             return HPoly.empty(self.ambient)
-        eqs = [(a, b) for a, b in self.eq]
-        ineqs = []
-        seen = set()
-        for a, b in self.ineq:
-            prim = _prim_ineq(a, b)
-            if prim is None:
-                if b < 0:
-                    return HPoly.empty(self.ambient)  # 0 <= negative
-                continue
-            if prim not in seen:
-                seen.add(prim)
-                ineqs.append(prim)
-
-        # find implicit equalities
+        ineqs = _primitive_rows(self.ineq)
+        if ineqs is None:
+            return HPoly.empty(self.ambient)
+        eqs = list(self.eq)
+        a_ub = [list(a) for a, _ in ineqs]
+        b_ub = [b for _, b in ineqs]
+        # points of the set: a row slack at one of them is no implicit equality
+        known = [(_ZERO,) * self.ambient] if _holds_at_origin(self.eq, ineqs) else []
         keep = []
         for a, b in ineqs:
-            res = HPoly(self.ambient, tuple(eqs), tuple(ineqs)).minimize(a)
+            if any(sum(x * y for x, y in zip(a, p)) < b for p in known):
+                keep.append((a, b))
+                continue
+            # min a.z over the set cut by a.z >= b - 1: never unbounded, b
+            # exactly when a.z = b holds on the whole set
+            res = solve_lp(list(a), a_ub + [[-x for x in a]], b_ub + [_ONE - b],
+                           [list(r) for r, _ in eqs], [c for _, c in eqs])
             if res.status == OPTIMAL and res.value == b:
                 eqs.append((a, b))
             else:
                 keep.append((a, b))
+                if res.status == OPTIMAL:
+                    known.append(res.x)
         # every implicit equality is in eqs now; `facets_with_normals` shares
         # this tail
         return _canonical_from_hull(self.ambient, eqs, keep)
@@ -238,12 +266,7 @@ class HPoly:
                 if self.eq else tuple([_ZERO] * n)
             self._relint = tuple(pt)
             return self._relint
-        # maximize t with a.z + t <= b, t <= 1
-        a_ub = [list(a) + [_ONE] for a, _ in self.ineq] + [[_ZERO] * n + [_ONE]]
-        b_ub = [b for _, b in self.ineq] + [_ONE]
-        a_eq = [list(a) + [_ZERO] for a, _ in self.eq]
-        b_eq = [b for _, b in self.eq]
-        res = solve_lp([_ZERO] * n + [_ONE], a_ub, b_ub, a_eq, b_eq, maximize=True)
+        res = _max_slack(n, self.eq, self.ineq)
         if res.status != OPTIMAL or res.value <= 0:
             raise EmptyPolyhedron("no strict interior point found")
         self._relint = tuple(res.x[:n])
@@ -286,15 +309,18 @@ class HPoly:
         implicit equality of P, and lam = 0 makes a' zero modulo the hull.
         So the hull of F is known, and the facet is built by the tail of the
         canonical form alone: no emptiness LP, no equality scan, no memo.
+
+        The facets are built anew on every call, with their redundancy LPs,
+        and not kept on the cell: cells outlive the computations that ask
+        for their facets.  A caller that asks again for one cell, such as
+        `framed.canonicalize`, keeps the list itself.
         """
-        if self._facets is None:
-            if not self._canonical:
-                raise ValueError("facets of non-canonical polyhedron")
-            rows = self.ineq
-            self._facets = [(_canonical_from_hull(self.ambient, self.eq + (row,),
-                                                  rows[:i] + rows[i + 1:]), row)
-                            for i, row in enumerate(rows)]
-        return self._facets
+        if not self._canonical:
+            raise ValueError("facets of non-canonical polyhedron")
+        rows = self.ineq
+        return [(_canonical_from_hull(self.ambient, self.eq + (row,),
+                                      rows[:i] + rows[i + 1:]), row)
+                for i, row in enumerate(rows)]
 
     def faces(self, d: int):
         """The nonempty faces of dimension d, deduplicated by key: the one face
@@ -363,6 +389,68 @@ class HPoly:
         if self._empty:
             return f"HPoly(empty, ambient={self.ambient})"
         return f"HPoly(eq={len(self.eq)}, ineq={len(self.ineq)}, ambient={self.ambient})"
+
+
+def _holds_at_origin(eq, ineq) -> bool:
+    """Whether the origin satisfies every row: then the set is nonempty."""
+    return all(b == 0 for _, b in eq) and all(b >= 0 for _, b in ineq)
+
+
+def _primitive_rows(ineq):
+    """The inequalities made primitive and deduplicated, in first-seen order;
+    constant rows 0 <= b dropped, or None when one of them is false."""
+    rows = {}
+    for a, b in ineq:
+        prim = _prim_ineq(a, b)
+        if prim is None:
+            if b < 0:
+                return None
+        else:
+            rows.setdefault(prim, None)
+    return list(rows)
+
+
+def _remember(key, out):
+    """Put a canonical form into the memo, dropping its oldest entry when full."""
+    if len(_CANONICAL_MEMO) >= _CANONICAL_MEMO_CAP:
+        del _CANONICAL_MEMO[next(iter(_CANONICAL_MEMO))]
+    _CANONICAL_MEMO[key] = out
+
+
+def _max_slack(ambient, eq, ineq):
+    """The LP max t subject to a.z + t <= b for every inequality, t <= 1 and
+    the equalities: t > 0 exactly when some point of the equalities' set
+    satisfies every inequality strictly, and z is then such a point."""
+    a_ub = [list(a) + [_ONE] for a, _ in ineq] + [[_ZERO] * ambient + [_ONE]]
+    b_ub = [b for _, b in ineq] + [_ONE]
+    a_eq = [list(a) + [_ZERO] for a, _ in eq]
+    b_eq = [b for _, b in eq]
+    return solve_lp([_ZERO] * ambient + [_ONE], a_ub, b_ub, a_eq, b_eq, maximize=True)
+
+
+def full_dimensional(ambient, ineq) -> HPoly | None:
+    """The canonical form of {z : ineq} when it is full-dimensional, else None.
+
+    One max-slack LP decides it.  A full-dimensional set has no implicit
+    equality, so its canonical form is the tail `_canonical_from_hull` of
+    its primitive, deduplicated rows, with no emptiness LP and no equality
+    scan.  The memo of `HPoly.canonical` is read and filled under the key
+    of `HPoly(ambient, (), ineq)`; a set that is not full-dimensional is
+    not remembered, since its canonical form is not computed.
+    """
+    ineq = tuple((tuple(a), b) for a, b in ineq)
+    key = (ambient, frozenset(), frozenset(ineq))
+    out = _CANONICAL_MEMO.get(key)
+    if out is None:
+        rows = _primitive_rows(ineq)
+        if rows is None:
+            return None
+        res = _max_slack(ambient, (), rows)
+        if res.status != OPTIMAL or res.value <= 0:
+            return None
+        out = _canonical_from_hull(ambient, (), rows)
+        _remember(key, out)
+    return None if out._empty or out.eq else out
 
 
 def _canonical_from_hull(ambient, eqs, ineqs) -> HPoly:

@@ -393,10 +393,11 @@ class TestCanonicalizeDeterminism:
 # ---------------------------------------------------------------------------
 # merging against the arrangement-split union test
 
-def _union_by_split(polys):
+def _union_by_split(polys, known=None):
     """Reference region union: the envelope of the rows of the cells that hold
     on every cell is the union iff the relative interior point of every piece
-    of its split by the walls of the region lies in one of the cells."""
+    of its split by the walls of the region lies in one of the cells.  Takes
+    and ignores the facet dict of `framed._region_union`."""
     # merging overlapping cells would lose the frame counted twice on their overlap
     if any(a.intersect(b).canonical().dim == a.dim for a, b in combinations(polys, 2)):
         return None
@@ -462,7 +463,7 @@ class TestMergeVerdict:
     def test_envelope_verdict_matches_split(self, cells, plane):
         polys = [plane_cell(rows, plane) for rows in cells]
         assume(all(p.dim == 2 for p in polys))
-        got = framed._region_union(polys)
+        got = framed._region_union(polys, {})
         want = _union_by_split(polys)
         assert (got is None) == (want is None)
         if got is not None:
@@ -504,6 +505,33 @@ class TestRegionMerging:
         assert len(canonicalize(_unit_squares(_L3), validate=False).cells()) == 3
         assert len(canonicalize(_unit_squares(_L4), validate=False).cells()) == 4
 
+    def test_facets_built_once_per_cell_across_restarts(self, monkeypatch):
+        """Two rows of squares merge one after the other, so the scan restarts;
+        each input cell and each merged cell has its facets built once."""
+        merges = _count_merges(monkeypatch)
+        built, hull_calls = [], [0]
+        facets, from_hull = HPoly.facets_with_normals, polyhedra._canonical_from_hull
+
+        def counting_facets(self):
+            built.append(self.key)
+            return facets(self)
+
+        def counting_hull(*args):
+            hull_calls[0] += 1
+            return from_hull(*args)
+
+        x = _unit_squares(_ROW3 + (_square(5, 6, 0, 1), _square(6, 7, 0, 1)))
+        monkeypatch.setattr(HPoly, "facets_with_normals", counting_facets)
+        monkeypatch.setattr(polyhedra, "_canonical_from_hull", counting_hull)
+        got = canonicalize(x, validate=False).cells()
+        assert len(got) == 2 and len(merges) == 2
+        cells = [c.poly for c in x.cells] + [c.poly for c in got]
+        assert sorted(built) == sorted(c.key for c in cells)
+        # each facet of a square costs one call; the face-to-face check of
+        # the first merged row against the other row adds none, since the
+        # two are disjoint
+        assert hull_calls[0] == sum(len(c.ineq) for c in cells)
+
     def test_wall_with_a_third_owner_is_not_crossed(self):
         """The real axis cut at -1 and at 0, and an edge at 0: the wall at 0
         is not free, so the two pieces left of it merge and the line stays
@@ -535,7 +563,7 @@ class TestRegionMerging:
         rays = _DOUBLE_COVER
         x = _unit_squares([_cone(u, v) for u, v in zip(rays, rays[1:] + rays[:1])])
         assert is_etp(x).ok
-        assert framed._region_union([c.poly for c in x.cells]) is None
+        assert framed._region_union([c.poly for c in x.cells], {}) is None
         got = canonicalize(x)
         assert len(got.cells()) == 5
         assert equivalent(got, x)

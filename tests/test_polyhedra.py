@@ -9,13 +9,15 @@ from hypothesis import strategies as st
 import etv.polyhedra as polyhedra
 from etv.dualfan import dual_fan_etp, valid_k_range
 from etv.exterior import Alt
-from etv.monge import linearity_complex, support_function
+from etv.monge import AffineFunc, PLFunction, linearity_complex, support_function
+from etv.scalars import CRat
 import hull_reference as ref
+from canonical_reference import canonical_reference
 from etv.linalg import det, rank
 from orientation_reference import coords_in_basis
 from etv.polyhedra import (HPoly, PolyhedralSet, VPolytope, common_refinement,
-                           dual_cone, hyperplanes_of_cells, split_by_hyperplanes,
-                           triangulate, volume, volume_multivector)
+                           dual_cone, full_dimensional, hyperplanes_of_cells,
+                           split_by_hyperplanes, triangulate, volume, volume_multivector)
 from lattice_cells import coord, normal, plane_cell, planes, region
 
 
@@ -321,11 +323,14 @@ class TestLPAgainstEnumeration:
 class TestCanonicalMemo:
     def test_unit_square_lp_count(self, lp_calls):
         polyhedra._CANONICAL_MEMO.clear()
-        # one emptiness LP, one implicit-equality LP and one redundancy LP per row
+        # x <= 1, -x <= 0, y <= 1, -y <= 0.  The origin is in the square: no
+        # emptiness LP, and x <= 1, y <= 1 are slack there.  The scan LP of
+        # -x <= 0 returns the vertex (1, 0), tight on -y <= 0, so that row
+        # gets a scan LP too: 2 scan LPs, then one redundancy LP per row
         square = HPoly(2, ineq=UNIT_SQUARE).canonical()
-        assert lp_calls[0] == 9
+        assert lp_calls[0] == 2 + 4
         again = HPoly(2, ineq=UNIT_SQUARE[::-1] + UNIT_SQUARE[:1]).canonical()
-        assert lp_calls[0] == 9 and again.key == square.key
+        assert lp_calls[0] == 2 + 4 and again.key == square.key
 
     def test_memo_is_capped_first_in_first_out(self):
         polyhedra._CANONICAL_MEMO.clear()
@@ -440,7 +445,7 @@ def _facets_by_canonical(cell):
 
 
 def _fresh(cell):
-    """A copy of a canonical cell without its cached facets."""
+    """A copy of a canonical cell with none of its lazy values computed."""
     out = HPoly(cell.ambient, cell.eq, cell.ineq, _canonical=True)
     out._empty = False
     return out
@@ -698,3 +703,133 @@ class TestOneHullPerPointSet:
             calls[0] = 0
             triangulate(points)
             assert calls[0] == 1
+
+
+# ---------------------------------------------------------------------------
+# LPs skipped at known points, against the reference canonical form
+
+def _lp_kind(record, ambient):
+    """emptiness (zero objective), scan (a row minimized), slack (the
+    max-slack LP, one variable more than the ambient space) or redundancy
+    (a row maximized) LP, from one record of `lp_kinds`."""
+    maximize, nonzero, width = record
+    if not maximize:
+        return "scan" if nonzero else "emptiness"
+    return "slack" if width == ambient + 1 else "redundancy"
+
+
+@pytest.fixture
+def lp_kinds(monkeypatch):
+    """(maximize, nonzero objective, number of variables) of each LP that
+    `etv.polyhedra` solves, in order."""
+    records = []
+    solve = polyhedra.solve_lp
+
+    def recording(objective, *args, **kwargs):
+        records.append((kwargs.get("maximize", False), any(objective), len(objective)))
+        return solve(objective, *args, **kwargs)
+
+    monkeypatch.setattr(polyhedra, "solve_lp", recording)
+    return records
+
+
+@st.composite
+def hpoly_rows(draw):
+    """(ambient, eq, ineq) of a small H-polyhedron in R^1 to R^4: random rows,
+    optionally all through the origin (a cone), with a row pinched to an
+    equality by its negation, a row made empty by a shifted negation, and
+    duplicate and positively scaled copies of rows."""
+    d = draw(st.integers(1, 4))
+    vec = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+    row = st.tuples(vec, st.integers(-2, 2))
+    eq = draw(st.lists(row, max_size=2))
+    ineq = draw(st.lists(row, min_size=1, max_size=6))
+    if draw(st.booleans()):
+        eq = [(a, 0) for a, _ in eq]
+        ineq = [(a, 0) for a, _ in ineq]
+    twist = draw(st.sampled_from(["none", "pinch", "empty"]))
+    a, b = draw(st.sampled_from(ineq))
+    if twist == "pinch":
+        ineq.append(([-x for x in a], -b))
+    elif twist == "empty":
+        ineq.append(([-x for x in a], -b - 1))
+    for (a, b), t in draw(st.lists(st.tuples(st.sampled_from(ineq), st.integers(1, 3)),
+                                   max_size=2)):
+        ineq.append(([t * x for x in a], t * b))
+    frac = [(tuple(F(x) for x in a), F(b)) for a, b in ineq]
+    return d, [(tuple(F(x) for x in a), F(b)) for a, b in eq], \
+        draw(st.permutations(frac))
+
+
+class TestKnownPointShortcuts:
+    @settings(max_examples=150, deadline=None)
+    @given(rows=hpoly_rows())
+    def test_keys_match_reference(self, rows):
+        ambient, eq, ineq = rows
+        want = canonical_reference(ambient, eq, ineq)
+        polyhedra._CANONICAL_MEMO.clear()
+        assert HPoly(ambient, eq, ineq).canonical().key == want.key
+        assert HPoly(ambient, eq, ineq).is_empty() == want.is_empty()
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=hpoly_rows())
+    def test_full_dimensional_matches_reference(self, rows):
+        ambient, _, ineq = rows
+        want = canonical_reference(ambient, (), ineq)
+        full = want.dim == ambient
+        for warm in (False, True):
+            polyhedra._CANONICAL_MEMO.clear()
+            if warm:  # the memo holds the canonical form of the same input
+                HPoly(ambient, (), ineq).canonical()
+            got = full_dimensional(ambient, ineq)
+            assert (got is not None) == full
+            if full:
+                assert got.key == want.key
+            # a cold call leaves the memo right for `canonical`
+            assert HPoly(ambient, (), ineq).canonical().key == want.key
+
+    def test_cone_costs_no_emptiness_lp(self, polytope_corpus, lp_kinds):
+        # x + y = 0, x >= 0, z >= 0
+        cone = HPoly(3, eq=[((F(1), F(1), F(0)), F(0))],
+                     ineq=[((F(-1), F(0), F(0)), F(0)), ((F(0), F(0), F(-1)), F(0))])
+        assert not cone.is_empty() and lp_kinds == []
+        # the origin misses y <= -1, so the cut cone pays its emptiness LP
+        assert not HPoly(3, cone.eq, cone.ineq + (((F(0), F(1), F(0)), F(-1)),)).is_empty()
+        assert [_lp_kind(r, 3) for r in lp_kinds] == ["emptiness"]
+        cones = 0
+        for _, gamma in polytope_corpus:
+            for m in range(gamma.dim + 1):
+                for face in gamma.faces(m):
+                    polyhedra._CANONICAL_MEMO.clear()
+                    lp_kinds.clear()
+                    dual_cone(gamma, face)
+                    assert "emptiness" not in [_lp_kind(r, gamma.ambient) for r in lp_kinds]
+                    cones += 1
+        assert cones >= 150
+
+    @pytest.mark.parametrize("n, sites", [
+        (1, [(0, 0), (2, 0), (0, 2), (-2, 1), (1, -3)]),
+        (2, [(0, 0, 0, 0), (2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2),
+             (1, 1, -1, 1)]),
+    ])
+    def test_linearity_complex_one_slack_lp_per_piece(self, n, sites, lp_kinds):
+        # max over the sites s of Re<z, w_s> - |s|^2 / 2, with s the real
+        # coefficients of w_s: the Voronoi cells of the sites, all full-dimensional
+        funcs = []
+        for s in sites:
+            w = tuple(CRat(F(s[2 * j]), -F(s[2 * j + 1])) for j in range(n))
+            f = AffineFunc(w, F(0))
+            assert f.real_coeffs() == pt(*s)
+            funcs.append(AffineFunc(w, -F(sum(x * x for x in s), 2)))
+        h = PLFunction.convex(n, funcs)
+        polyhedra._CANONICAL_MEMO.clear()
+        cells = linearity_complex(h)
+        assert len(cells) == len(sites)
+        kinds = [_lp_kind(r, 2 * n) for r in lp_kinds]
+        assert kinds.count("slack") == len(sites)
+        assert set(kinds) == {"slack", "redundancy"}
+        for i, lc in enumerate(cells):
+            assert lc.plus_active == funcs[i]
+            ineq = [(tuple(b - a for a, b in zip(funcs[i].real_coeffs(), g.real_coeffs())),
+                     funcs[i].c - g.c) for g in funcs if g != funcs[i]]
+            assert lc.poly.key == canonical_reference(2 * n, (), ineq).key

@@ -100,3 +100,21 @@ def test_every_private_name_is_used():
             if bound.startswith("_") and not bound.startswith("__"):
                 assert any(bound in r for j, r in enumerate(reads) if j != i), \
                     f"{name}:{stmt.lineno} defines {bound}, which nothing reads"
+
+
+def test_every_slot_is_read():
+    """Each entry of a library class's `__slots__` is loaded as an attribute
+    somewhere in the library, so no dead cache slot stays behind."""
+    slots = []
+    loaded = set()
+    for name, node in _library_nodes():
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.attr)
+        elif isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                if isinstance(stmt, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets):
+                    slots += [(name, node.name, elt.value) for elt in stmt.value.elts]
+    assert slots
+    for name, cls, slot in slots:
+        assert slot in loaded, f"{name}: {cls}.{slot} is never read"
