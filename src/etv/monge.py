@@ -8,6 +8,24 @@ between P and Q is a facet of both with opposite outward vectors, so it
 carries s_P (d^c(h_P) - d^c(h_Q)), where s_P is the sign of (outward from
 P, canonical wall basis) against the standard orientation of R^{2n}.
 
+The linearity tiling comes from one lifted hull, with no LP.  Lift each
+f = Re<z, w> + c to the point (a, c) of R^{2n+1}, with a the real
+covector of w, and let P and Q be the hulls of the lifted plus and minus
+families.  A point z lies in the region where f_i and g_j rule exactly
+when (z, 1) attains its maximum over the sums p + q at p_i + q_j, so the
+region is the slice t = 1 of the normal cone of P + Q at p_i + q_j, and
+the tiling is the upper normal complex of the Minkowski sum
+(Gelfand-Kapranov-Zelevinsky 1994, ch. 7; Maclagan-Sturmfels 2015, 3.1;
+Ziegler, Lectures on Polytopes, 7.12).  A face is upper when its normal
+cone meets t > 0: when e_t is not in the direction space of the hull, or
+when it lies in a facet whose normal has t > 0.  The region of (i, j) is
+full-dimensional exactly when p_i + q_j is an upper vertex, and its
+facets are the slices of the normal cones of its upper edges D, one row
+(D_a).z <= -D_c each; the facets of a full-dimensional polyhedron are
+irredundant and pairwise non-parallel, so these primitive rows, sorted,
+are its canonical form.  A corner locus is a cycle by the same theorem,
+so `corner_locus` does not validate it.
+
 The weighted-boundary operator takes a cycle X on whose cells h is affine
 to the boundary of the cycle framed by d^c(G) wedge frame, where G is the
 affine extension of h on each cell.
@@ -25,7 +43,8 @@ from .framed import (EtvRep, FramedCell, FramedSet, _framed, boundary,
                      canonicalize, cell_weight, equivalent, translate, zero_etv)
 from .intersection import product_many
 from .linalg import rref
-from .polyhedra import HPoly, VPolytope, full_dimensional, volume
+from .polyhedra import (HPoly, VPolytope, _chart, _faces_below, _hull_facets, _prim_ineq,
+                        volume)
 from .scalars import CRat
 
 _ZERO = Fraction(0)
@@ -115,20 +134,47 @@ def _max_region(family, i, ambient) -> HPoly:
     return HPoly(ambient, (), ineqs)
 
 
+def _upper_vertex_rows(points) -> dict:
+    """Index -> canonical rows of its region, for each upper vertex of the
+    hull of distinct lifted points: one row per upper edge at the vertex."""
+    t = len(points[0]) - 1
+    _, pivots, coords = _chart(points)
+    facets = _hull_facets(coords)
+    if t in pivots:  # e_t is a direction of the hull, the last chart coordinate
+        top = [tight for normal, _, tight in facets if normal[-1] > 0]
+        dim = len(pivots) - 1
+    else:  # every face is upper
+        top, dim = [frozenset(range(len(points)))], len(pivots)
+    lattice = _faces_below(top, dim, [tight for _, _, tight in facets])
+    rows = {v: [] for (v,) in lattice[0]}
+    for edge in lattice.get(1, ()):
+        # the two vertices of the edge; its other points lie between them
+        u, v = (i for i in edge if i in rows)
+        for a, b in ((u, v), (v, u)):
+            d = [y - x for x, y in zip(points[a], points[b])]
+            rows[a].append(_prim_ineq(d[:-1], -d[-1]))
+    return rows
+
+
 def linearity_complex(h: PLFunction) -> list:
-    """Full-dimensional cells where one plus and one minus functional rule."""
-    ambient = 2 * h.n
+    """Full-dimensional cells where one plus and one minus functional rule,
+    in the order of their first pair (i, j), from the upper faces of the
+    lifted Minkowski sum (see the module docstring)."""
+    first = {}  # lifted sum point -> the first pair of functionals giving it
+    minus = [(g, g.real_coeffs() + (g.c,)) for g in h.minus]
+    for f in h.plus:
+        p = f.real_coeffs() + (f.c,)
+        for g, q in minus:
+            first.setdefault(tuple(x + y for x, y in zip(p, q)), (f, g))
+    if not first:
+        return []
+    rows = _upper_vertex_rows(list(first))
     cells = []
-    seen = set()
-    for i in range(len(h.plus)):
-        ri = _max_region(h.plus, i, ambient)
-        for j in range(len(h.minus)):
-            rj = _max_region(h.minus, j, ambient)
-            region = full_dimensional(ambient, ri.ineq + rj.ineq)
-            if region is None or region.key in seen:
-                continue
-            seen.add(region.key)
-            cells.append(LinearityCell(region, h.plus[i], h.minus[j]))
+    for i, (f, g) in enumerate(first.values()):
+        if i in rows:
+            poly = HPoly(2 * h.n, (), sorted(rows[i]), _canonical=True)
+            poly._empty = False
+            cells.append(LinearityCell(poly, f, g))
     return cells
 
 
@@ -137,7 +183,7 @@ def corner_locus(h: PLFunction) -> EtvRep:
     the boundary of the tiling with each cell framed by d^c of h on it."""
     cells = [FramedCell(lc.poly, ccov_form(dc_ccov(lc.differential())))
              for lc in linearity_complex(h)]
-    return canonicalize(boundary(FramedSet(h.n, 2 * h.n, cells)))
+    return canonicalize(boundary(FramedSet(h.n, 2 * h.n, cells)), validate=False)
 
 
 def support_function(gamma: VPolytope) -> PLFunction:

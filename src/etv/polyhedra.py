@@ -10,7 +10,8 @@ Point sets get one hull each: `_hull_facets` runs once, in the chart of
 and volumes come from its facet incidence sets.  Every face is an
 intersection of the facets containing it (Ziegler, Lectures on Polytopes,
 2.3), so the facets of a face are its maximal cuts by the hull facets
-(`_facet_cuts`); `face_vertex_sets` walks the lattice down by these cuts,
+(`_facet_cuts`); `_faces_below` walks the lattice down by these cuts, for
+`face_vertex_sets` and the lifted hulls of `monge.linearity_complex`,
 `triangulate` pulls each face from its least point over the cuts that miss
 it, and `volume` sums the simplices.
 
@@ -49,16 +50,6 @@ An LP whose answer follows from a known point of the set is skipped:
   minimizes a.z under the extra bound a.z >= b - 1, so it is never
   unbounded and returns a point whenever the set reaches that bound; its
   value is b exactly when the row is an implicit equality.
-- full dimension (`full_dimensional`, the linearity regions of
-  `monge.linearity_complex`): one max-slack LP, max t subject to
-  a.z + t <= b and t <= 1, is positive exactly when the set has an
-  interior point.  Such a set has no implicit equality, so its canonical
-  form is `_canonical_from_hull` of its primitive rows, with no emptiness
-  LP and no scan.  The helper reads and fills the memo of `canonical`
-  under the same key; a set that is not full-dimensional is not
-  remembered.  The general canonical form does not run this LP: most of
-  its nonempty inputs in stable intersections are lower-dimensional, and
-  there the extra LP is wasted.
 Each shortcut only skips an LP whose answer it already knows, and the
 canonical form is unique, so every canonical form is the one the LPs give.
 
@@ -428,31 +419,6 @@ def _max_slack(ambient, eq, ineq):
     return solve_lp([_ZERO] * ambient + [_ONE], a_ub, b_ub, a_eq, b_eq, maximize=True)
 
 
-def full_dimensional(ambient, ineq) -> HPoly | None:
-    """The canonical form of {z : ineq} when it is full-dimensional, else None.
-
-    One max-slack LP decides it.  A full-dimensional set has no implicit
-    equality, so its canonical form is the tail `_canonical_from_hull` of
-    its primitive, deduplicated rows, with no emptiness LP and no equality
-    scan.  The memo of `HPoly.canonical` is read and filled under the key
-    of `HPoly(ambient, (), ineq)`; a set that is not full-dimensional is
-    not remembered, since its canonical form is not computed.
-    """
-    ineq = tuple((tuple(a), b) for a, b in ineq)
-    key = (ambient, frozenset(), frozenset(ineq))
-    out = _CANONICAL_MEMO.get(key)
-    if out is None:
-        rows = _primitive_rows(ineq)
-        if rows is None:
-            return None
-        res = _max_slack(ambient, (), rows)
-        if res.status != OPTIMAL or res.value <= 0:
-            return None
-        out = _canonical_from_hull(ambient, (), rows)
-        _remember(key, out)
-    return None if out._empty or out.eq else out
-
-
 def _canonical_from_hull(ambient, eqs, ineqs) -> HPoly:
     """The canonical HPoly of a nonempty {eqs, ineqs} whose `eqs` already
     hold every implicit equality, so that `eqs` span its affine hull.
@@ -552,12 +518,7 @@ class VPolytope:
         face down by facet cuts of one hull."""
         basis, _, coords = _chart(self.vertices)
         facets = [tight for _, _, tight in _hull_facets(coords)]
-        d = len(basis)
-        lattice = {d: {frozenset(range(len(self.vertices)))}}
-        for cur in range(d, 0, -1):
-            lattice[cur - 1] = {sub for face in lattice[cur]
-                                for sub in _facet_cuts(face, facets)}
-        return lattice
+        return _faces_below([frozenset(range(len(self.vertices)))], len(basis), facets)
 
     def faces(self, m: int):
         """All m-dimensional faces as VPolytopes."""
@@ -620,10 +581,8 @@ def _hull_facets(points):
     for subset in combinations(range(len(points)), d):
         p0 = points[subset[0]]
         diffs = [tuple(a - b for a, b in zip(points[i], p0)) for i in subset[1:]]
-        if rank(diffs) != d - 1:
-            continue
         normal = kernel_basis(diffs, d)
-        if len(normal) != 1:
+        if len(normal) != 1:  # the d points span no hyperplane
             continue
         nvec = scale_primitive(normal[0], lead_positive=True)
         offset = sum(x * y for x, y in zip(nvec, p0))
@@ -661,6 +620,18 @@ def _facet_cuts(face, facets):
     cuts = {face & g for g in facets if not face <= g}
     cuts.discard(frozenset())
     return [c for c in cuts if not any(c < other for other in cuts)]
+
+
+def _faces_below(top, dim, facets):
+    """Point index sets of the faces of a hull that lie in one of the faces
+    `top`, all of dimension `dim`, keyed by dimension: the one top-down walk
+    of a face lattice, a level of `_facet_cuts` by the hull's facet tight
+    sets `facets` per dimension."""
+    lattice = {dim: set(top)}
+    for cur in range(dim, 0, -1):
+        lattice[cur - 1] = {sub for face in lattice[cur]
+                            for sub in _facet_cuts(face, facets)}
+    return lattice
 
 
 def triangulate(points):

@@ -8,8 +8,9 @@ sum of frames per canonical cell; the tests compare the two:
   match wins;
 - `bergman_fan` sums the frames of the cells whose recession cone contains
   each piece, one containment test per piece and cone;
-- `corner_locus` pairs the two cells at each wall and orients the wall by a
-  signed standard basis vector.
+- `corner_locus` pairs the two cells at each wall of the LP tiling of
+  `linearity_reference` and orients the wall by a signed standard basis
+  vector.
 """
 
 from fractions import Fraction as F
@@ -17,9 +18,9 @@ from fractions import Fraction as F
 from etv.exterior import Alt, ccov_form, dc_ccov
 from etv.framed import EtvRep, FramedCell, FramedSet, _framed, canonicalize
 from etv.linalg import basis_change_sign
-from etv.monge import linearity_complex
 from etv.polyhedra import (PolyhedralSet, common_refinement, hyperplanes_of_cells,
                            split_by_hyperplanes)
+from linearity_reference import linearity_complex
 
 
 def frame_at(x: FramedSet, p) -> Alt:

@@ -1,0 +1,57 @@
+"""Reference linearity tiling by LPs: one max-slack LP per candidate region.
+
+This is the construction that `etv.monge.linearity_complex` replaced by the
+upper faces of one lifted hull.  Every pair (i, j) of a plus and a minus
+functional cuts out the region where both rule; `full_dimensional` keeps it
+when one max-slack LP finds an interior point, and then builds its canonical
+form from its primitive rows with one redundancy LP per row.  The tests
+compare cells, keys and active functionals of the two.
+"""
+
+from etv.lp import OPTIMAL
+from etv.monge import LinearityCell, _max_region
+from etv.polyhedra import (_CANONICAL_MEMO, HPoly, _canonical_from_hull, _max_slack,
+                           _primitive_rows, _remember)
+
+
+def full_dimensional(ambient, ineq) -> HPoly | None:
+    """The canonical form of {z : ineq} when it is full-dimensional, else None.
+
+    One max-slack LP decides it.  A full-dimensional set has no implicit
+    equality, so its canonical form is the tail `_canonical_from_hull` of
+    its primitive, deduplicated rows, with no emptiness LP and no equality
+    scan.  The memo of `HPoly.canonical` is read and filled under the key
+    of `HPoly(ambient, (), ineq)`; a set that is not full-dimensional is
+    not remembered, since its canonical form is not computed.
+    """
+    ineq = tuple((tuple(a), b) for a, b in ineq)
+    key = (ambient, frozenset(), frozenset(ineq))
+    out = _CANONICAL_MEMO.get(key)
+    if out is None:
+        rows = _primitive_rows(ineq)
+        if rows is None:
+            return None
+        res = _max_slack(ambient, (), rows)
+        if res.status != OPTIMAL or res.value <= 0:
+            return None
+        out = _canonical_from_hull(ambient, (), rows)
+        _remember(key, out)
+    return None if out._empty or out.eq else out
+
+
+def linearity_complex(h) -> list:
+    """Full-dimensional cells where one plus and one minus functional rule,
+    the first pair (i, j) of each region kept."""
+    ambient = 2 * h.n
+    cells = []
+    seen = set()
+    for i in range(len(h.plus)):
+        ri = _max_region(h.plus, i, ambient)
+        for j in range(len(h.minus)):
+            rj = _max_region(h.minus, j, ambient)
+            region = full_dimensional(ambient, ri.ineq + rj.ineq)
+            if region is None or region.key in seen:
+                continue
+            seen.add(region.key)
+            cells.append(LinearityCell(region, h.plus[i], h.minus[j]))
+    return cells

@@ -9,6 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 import cycle_reference as ref
+import linearity_reference
 import etv.framed as framed
 import etv.intersection as intersection
 from etv import jsonio
@@ -100,11 +101,13 @@ def test_corner_locus_matches_wall_pass():
 
 def test_linearity_walls_are_two_sided():
     """Each facet of a linearity cell is a facet of exactly one other cell,
-    so the boundary of the tiling framed by d^c(h) leaves jumps only."""
+    so the boundary of the tiling framed by d^c(h) leaves jumps only: in
+    the lifted-hull tiling and in the LP tiling of the reference."""
     for h in _pl_functions():
-        sides = Counter(f.key for lc in linearity_complex(h)
-                        for f, _ in lc.poly.facets_with_normals())
-        assert set(sides.values()) <= {2}
+        for tiling in (linearity_complex, linearity_reference.linearity_complex):
+            sides = Counter(f.key for lc in tiling(h)
+                            for f, _ in lc.poly.facets_with_normals())
+            assert set(sides.values()) <= {2}
 
 
 def test_a_cell_listed_twice_counts_twice(polytope_corpus):

@@ -1,7 +1,13 @@
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import etv.polyhedra as polyhedra
+import linearity_reference as ref
+from canonical_reference import canonical_reference
 from etv.dualfan import dual_fan_etp
 from etv.framed import (add, canonicalize, cell_weight, equivalent, is_etp,
                         is_positive, scale)
@@ -248,3 +254,121 @@ class TestNonConvexCornerLoci:
             assert equivalent(locus, add(corner_locus(h1),
                                          negate(corner_locus(h2))))
             checked += 1
+
+
+# ---------------------------------------------------------------------------
+# the tiling from the lifted hull, against the LP tiling of the reference
+
+@st.composite
+def pl_functions(draw, max_n=3, convex=None):
+    """PL functions on C^1 to C^max_n with at most 3 pieces per family, over
+    lifted point sets that are often degenerate: each family draws from a
+    pool of at most 3 slopes (repeated slopes give vertical lifted edges),
+    slopes along one complex line or constants all zero give collinear and
+    lower-dimensional lifted sets, pieces repeat (duplicate functions),
+    families may have one piece, and a difference may have an empty minus
+    family.  Everything comes from a `random.Random` seeded by hypothesis:
+    drawn piece by piece, the families are mostly of one piece and the
+    hulls mostly one point."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    n = rng.randint(1, max_n)
+
+    def gaussian():
+        return CRat(rng.randint(-2, 2), rng.randint(-2, 2))
+    line = rng.choice(["free", "free", "line", "flat"])
+    base = [gaussian() for _ in range(n)]
+
+    def slope():
+        if line == "line":
+            return tuple(gaussian() * u for u in base)
+        return tuple(gaussian() for _ in range(n))
+
+    def family(least):
+        slopes = [slope() for _ in range(rng.choice([1, 2, 3, 3]))]
+        return tuple(AffineFunc(rng.choice(slopes),
+                                F(0) if line == "flat" else F(rng.randint(-2, 2)))
+                     for _ in range(rng.choice([least, 2, 3, 3])))
+    if convex is None:
+        convex = rng.random() < 0.5
+    return PLFunction(n, family(1), (affine_zero(n),) if convex else family(0))
+
+
+def _cells(tiling):
+    return [(lc.poly.key, lc.plus_active, lc.minus_active) for lc in tiling]
+
+
+@pytest.fixture
+def lp_count(monkeypatch):
+    """Counts the LPs of the library, all of which `etv.polyhedra` solves."""
+    calls = [0]
+    solve = polyhedra.solve_lp
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(polyhedra, "solve_lp", counting)
+    return calls
+
+
+def _voronoi(n, sites):
+    """max over the sites s of Re<z, w_s> - |s|^2 / 2, with s the real
+    coefficients of w_s: the Voronoi cells of the sites, all full-dimensional."""
+    funcs = []
+    for s in sites:
+        w = tuple(CRat(F(s[2 * j]), -F(s[2 * j + 1])) for j in range(n))
+        assert AffineFunc(w, F(0)).real_coeffs() == pt(*s)
+        funcs.append(AffineFunc(w, -F(sum(x * x for x in s), 2)))
+    return funcs
+
+
+class TestLiftedHull:
+    @settings(max_examples=150, deadline=None)
+    @given(h=pl_functions())
+    def test_cells_match_lp_tiling(self, h):
+        got = linearity_complex(h)
+        assert _cells(got) == _cells(ref.linearity_complex(h))
+        assert all(lc.poly._canonical and lc.poly.dim == 2 * h.n for lc in got)
+
+    def test_empty_minus_family_has_no_cells(self):
+        h = PLFunction(1, max_0_x1().plus, ())
+        assert linearity_complex(h) == [] and corner_locus(h).is_zero()
+
+    @pytest.mark.parametrize("n, sites", [
+        (1, [(0, 0), (2, 0), (0, 2), (-2, 1), (1, -3)]),
+        (2, [(0, 0, 0, 0), (2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2),
+             (1, 1, -1, 1)]),
+    ])
+    def test_voronoi_tiling_solves_no_lp(self, n, sites, lp_count):
+        funcs = _voronoi(n, sites)
+        cells = linearity_complex(PLFunction.convex(n, funcs))
+        assert lp_count[0] == 0 and len(cells) == len(sites)
+        for f, lc in zip(funcs, cells):
+            assert lc.plus_active == f
+            ineq = [(tuple(b - a for a, b in zip(f.real_coeffs(), g.real_coeffs())),
+                     f.c - g.c) for g in funcs if g != f]
+            assert lc.poly.key == canonical_reference(2 * n, (), ineq).key
+
+    def test_corner_loci_of_a_pair_solve_no_lp(self, lp_count):
+        # a (2, 3)-piece convex pair on C^2, as in the zero-criterion jobs
+        h1 = PLFunction.convex(2, [aff(2, [1, -1], c=1), AffineFunc((CRat(0, 2), CRat(1)), F(0))])
+        h2 = PLFunction.convex(2, [affine_zero(2), AffineFunc((CRat(1, 1), CRat(0)), F(-1)),
+                                   AffineFunc((CRat(-2), CRat(0, -1)), F(2))])
+        loci = [corner_locus(h) for h in (h1, h2)]
+        assert lp_count[0] == 0
+        assert [len(locus.cells()) for locus in loci] == [1, 3]
+
+
+class TestCornerLociAreCycles:
+    """`corner_locus` skips validation, since a corner locus is a cycle by
+    the theorem of the module; these check that it is one."""
+
+    def test_corpus_support_functions(self, polytope_corpus):
+        for name, gamma in polytope_corpus:
+            assert is_etp(corner_locus(support_function(gamma)).framed).ok, name
+
+    @settings(max_examples=60, deadline=None)
+    @given(h=pl_functions(max_n=2))
+    def test_random_functions(self, h):
+        assert is_etp(corner_locus(h).framed).ok
+

@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 import etv.polyhedra as polyhedra
 from etv.dualfan import dual_fan_etp, valid_k_range
 from etv.exterior import Alt
-from etv.monge import AffineFunc, PLFunction, linearity_complex, support_function
-from etv.scalars import CRat
+from etv.monge import linearity_complex, support_function
 import hull_reference as ref
 from canonical_reference import canonical_reference
+from linearity_reference import full_dimensional
 from etv.linalg import det, rank
 from orientation_reference import coords_in_basis
 from etv.polyhedra import (HPoly, PolyhedralSet, VPolytope, common_refinement,
-                           dual_cone, full_dimensional, hyperplanes_of_cells,
+                           dual_cone, hyperplanes_of_cells,
                            split_by_hyperplanes, triangulate, volume, volume_multivector)
 from lattice_cells import coord, normal, plane_cell, planes, region
 
@@ -806,30 +806,3 @@ class TestKnownPointShortcuts:
                     assert "emptiness" not in [_lp_kind(r, gamma.ambient) for r in lp_kinds]
                     cones += 1
         assert cones >= 150
-
-    @pytest.mark.parametrize("n, sites", [
-        (1, [(0, 0), (2, 0), (0, 2), (-2, 1), (1, -3)]),
-        (2, [(0, 0, 0, 0), (2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2),
-             (1, 1, -1, 1)]),
-    ])
-    def test_linearity_complex_one_slack_lp_per_piece(self, n, sites, lp_kinds):
-        # max over the sites s of Re<z, w_s> - |s|^2 / 2, with s the real
-        # coefficients of w_s: the Voronoi cells of the sites, all full-dimensional
-        funcs = []
-        for s in sites:
-            w = tuple(CRat(F(s[2 * j]), -F(s[2 * j + 1])) for j in range(n))
-            f = AffineFunc(w, F(0))
-            assert f.real_coeffs() == pt(*s)
-            funcs.append(AffineFunc(w, -F(sum(x * x for x in s), 2)))
-        h = PLFunction.convex(n, funcs)
-        polyhedra._CANONICAL_MEMO.clear()
-        cells = linearity_complex(h)
-        assert len(cells) == len(sites)
-        kinds = [_lp_kind(r, 2 * n) for r in lp_kinds]
-        assert kinds.count("slack") == len(sites)
-        assert set(kinds) == {"slack", "redundancy"}
-        for i, lc in enumerate(cells):
-            assert lc.plus_active == funcs[i]
-            ineq = [(tuple(b - a for a, b in zip(funcs[i].real_coeffs(), g.real_coeffs())),
-                     funcs[i].c - g.c) for g in funcs if g != funcs[i]]
-            assert lc.poly.key == canonical_reference(2 * n, (), ineq).key
