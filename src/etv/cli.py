@@ -8,6 +8,7 @@ seeds give byte-identical reports.
 Resource caps come from the environment: ETV_MAX_CELLS bounds the number
 of cells any framed input or product may reach, ETV_MAX_SUBSETS bounds 2^k
 for a family of k sets given to the `degeneracy` command.
+
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ import os
 import sys
 
 from . import jsonio
-from .degeneracy import (degeneracy_witness, is_nondegenerate,
-                         mixed_volume_zero_criterion)
+from .degeneracy import _find_witness, mixed_volume_zero_criterion
 from .dualfan import dual_fan_etp
 from .framed import (_framed, add, boundary, canonicalize, equivalent,
                      evaluate_current, is_etp)
@@ -50,14 +50,6 @@ class ResourceCap(RuntimeError):
     pass
 
 
-def _max_cells() -> int:
-    return int(os.environ.get("ETV_MAX_CELLS", "2000"))
-
-
-def _max_subsets() -> int:
-    return int(os.environ.get("ETV_MAX_SUBSETS", "4096"))
-
-
 def _load(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -66,12 +58,15 @@ def _load(path):
         raise ParseError(f"{path}: {exc}") from exc
 
 
+def _check_cells(count: int):
+    if count > int(os.environ.get("ETV_MAX_CELLS", "2000")):
+        raise ResourceCap(f"cell count {count} exceeds ETV_MAX_CELLS")
+
+
 def _guard_cells(x):
     """Pass x (a FramedSet or an EtvRep) through unless it has more than
     ETV_MAX_CELLS cells."""
-    count = len(_framed(x).cells)
-    if count > _max_cells():
-        raise ResourceCap(f"cell count {count} exceeds ETV_MAX_CELLS")
+    _check_cells(len(_framed(x).cells))
     return x
 
 
@@ -82,8 +77,8 @@ def _load_framed(path):
     `cells` that is not a list is left to the parser."""
     obj = _load(path)
     cells = obj.get("cells") if isinstance(obj, dict) else None
-    if isinstance(cells, list) and len(cells) > _max_cells():
-        raise ResourceCap(f"cell count {len(cells)} exceeds ETV_MAX_CELLS")
+    if isinstance(cells, list):
+        _check_cells(len(cells))
     return jsonio.framedset_from_json(obj)
 
 
@@ -91,37 +86,47 @@ def _load_etv(path):
     return canonicalize(_load_framed(path))
 
 
-def _report(args, command: str, result: dict, status: str = "ok") -> dict:
-    rep = {"command": command, "status": status,
-           "conventions": CONVENTIONS, "seed": getattr(args, "seed", None)}
-    rep.update(result)
-    return rep
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _emit(args, report: dict, code: int) -> int:
-    text = json.dumps(report, sort_keys=True, indent=2)
-    out = getattr(args, "output", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+def _emit(args, result: dict) -> int:
+    """Write the report of a command's result to --output or stdout.  The
+    result may set the report's status; any status but "ok" exits 1."""
+    report = {"command": args.command, "status": "ok",
+              "conventions": CONVENTIONS, "seed": args.seed}
+    report.update(result)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(_dumps(report))
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(_dumps(report))
+    return EXIT_OK if report["status"] == "ok" else EXIT_INVALID
+
+
+def _fail(status: str, exc: Exception, code: int) -> int:
+    """Write the report of a failed command to stdout."""
+    sys.stdout.write(_dumps({"status": status, "error": str(exc),
+                             "conventions": CONVENTIONS}))
     return code
 
 
+def _framed_result(x) -> dict:
+    return {"result": jsonio.framedset_to_json(x)}
+
+
+# -- commands: each maps its parsed arguments to the result of its report ----
+
 def _cmd_validate_etp(args):
     report = is_etp(_load_framed(args.input))
-    result = {"ok": report.ok, "witness": report.witness}
-    code = EXIT_OK if report.ok else EXIT_INVALID
-    return _emit(args, _report(args, "validate-etp", result,
-                               "ok" if report.ok else "invalid"), code)
+    return {"ok": report.ok, "witness": report.witness,
+            "status": "ok" if report.ok else "invalid"}
 
 
 def _cmd_boundary(args):
     bd = boundary(_load_framed(args.input))
-    result = {"result": jsonio.framedset_to_json(bd),
-              "support_empty": not bd.support_cells()}
-    return _emit(args, _report(args, "boundary", result), EXIT_OK)
+    return {"result": jsonio.framedset_to_json(bd),
+            "support_empty": not bd.support_cells()}
 
 
 def _cmd_dual_fan(args):
@@ -129,95 +134,72 @@ def _cmd_dual_fan(args):
     fan = dual_fan_etp(gamma, args.k)
     # emit the per-face fan representative: support functions stay cellwise
     # affine on it, so it feeds the dc command directly
-    result = {"result": jsonio.framedset_to_json(fan.framed_rep()),
-              "canonical": jsonio.framedset_to_json(fan.result),
-              "balanced": True,
-              "cones": len(fan.face_map)}
-    return _emit(args, _report(args, "dual-fan", result), EXIT_OK)
+    return {"result": jsonio.framedset_to_json(fan.framed_rep()),
+            "canonical": jsonio.framedset_to_json(fan.result),
+            "balanced": True,
+            "cones": len(fan.face_map)}
 
 
 def _cmd_add(args):
-    p = _load_etv(args.inputs[0])
-    q = _load_etv(args.inputs[1])
-    s = _guard_cells(add(p, q))
-    return _emit(args, _report(args, "add",
-                               {"result": jsonio.framedset_to_json(s)}), EXIT_OK)
+    p, q = [_load_etv(path) for path in args.inputs]
+    return _framed_result(_guard_cells(add(p, q)))
 
 
 def _cmd_product(args):
-    p = _load_etv(args.inputs[0])
-    q = _load_etv(args.inputs[1])
-    z = _guard_cells(product(p, q, seed=args.seed))
-    return _emit(args, _report(args, "product",
-                               {"result": jsonio.framedset_to_json(z)}), EXIT_OK)
+    p, q = [_load_etv(path) for path in args.inputs]
+    return _framed_result(_guard_cells(product(p, q, seed=args.seed)))
 
 
 def _cmd_stable_support(args):
-    p = _load_etv(args.inputs[0])
-    q = _load_etv(args.inputs[1])
+    p, q = [_load_etv(path) for path in args.inputs]
     cells = stable_support(p, q, seed=args.seed)
-    result = {"cells": [{"geom": jsonio.hpoly_to_json(s.cell),
-                         "frame": jsonio.form_to_json(s.frame),
-                         "shift": jsonio.vector_to_json(s.shift)}
-                        for s in cells]}
-    return _emit(args, _report(args, "stable-support", result), EXIT_OK)
+    return {"cells": [{"geom": jsonio.hpoly_to_json(s.cell),
+                       "frame": jsonio.form_to_json(s.frame),
+                       "shift": jsonio.vector_to_json(s.shift)}
+                      for s in cells]}
 
 
 def _cmd_bergman(args):
-    p = _load_etv(args.input)
-    b = bergman_fan(p)
-    return _emit(args, _report(args, "bergman",
-                               {"result": jsonio.framedset_to_json(b)}), EXIT_OK)
+    return _framed_result(bergman_fan(_load_etv(args.input)))
 
 
 def _cmd_corner_locus(args):
     h = jsonio.plfunction_from_json(_load(args.input))
-    locus = _guard_cells(corner_locus(h))
-    return _emit(args, _report(args, "corner-locus",
-                               {"result": jsonio.framedset_to_json(locus)}), EXIT_OK)
+    return _framed_result(_guard_cells(corner_locus(h)))
 
 
 def _cmd_dc(args):
     h = jsonio.plfunction_from_json(_load(args.function))
-    out = dc_weighted(h, _load_framed(args.cycle))
-    return _emit(args, _report(args, "dc",
-                               {"result": jsonio.framedset_to_json(out)}), EXIT_OK)
+    return _framed_result(dc_weighted(h, _load_framed(args.cycle)))
 
 
 def _cmd_mixed_ma(args):
     funcs = [jsonio.plfunction_from_json(_load(p)) for p in args.inputs]
-    z = _guard_cells(mixed_ma(*funcs, seed=args.seed))
-    return _emit(args, _report(args, "mixed-ma",
-                               {"result": jsonio.framedset_to_json(z)}), EXIT_OK)
+    return _framed_result(_guard_cells(mixed_ma(*funcs, seed=args.seed)))
 
 
 def _cmd_mixed_volume(args):
     bodies = [jsonio.vpolytope_from_json(_load(p)) for p in args.inputs]
-    value = mixed_volume_via_ma(*bodies, seed=args.seed)
-    return _emit(args, _report(args, "mixed-volume",
-                               {"value": rat_str(value)}), EXIT_OK)
+    return {"value": rat_str(mixed_volume_via_ma(*bodies, seed=args.seed))}
 
 
 def _cmd_mv_oracle(args):
     bodies = [jsonio.points_from_json(_load(p)) for p in args.inputs]
-    value = mixed_volume_oracle(*bodies)
-    return _emit(args, _report(args, "mv-oracle",
-                               {"value": rat_str(value)}), EXIT_OK)
+    return {"value": rat_str(mixed_volume_oracle(*bodies))}
 
 
 def _cmd_degeneracy(args):
     fam = jsonio.family_from_json(_load(args.family))
-    if 2 ** fam.k > _max_subsets():
+    if 2 ** fam.k > int(os.environ.get("ETV_MAX_SUBSETS", "4096")):
         raise ResourceCap("family size exceeds ETV_MAX_SUBSETS for enumeration")
-    nondeg = is_nondegenerate(fam)
-    result = {"nondegenerate": nondeg}
-    if not nondeg:
-        w = degeneracy_witness(fam)
+    w = _find_witness(fam)
+    result = {"nondegenerate": w is None}
+    if w is not None:
         result["witness"] = {"p": w.p,
                              "set_indices": list(w.set_indices),
                              "subspace_basis": [jsonio.cvector_to_json(v)
                                                 for v in w.subspace_basis]}
-    return _emit(args, _report(args, "degeneracy", result), EXIT_OK)
+    return result
 
 
 def _cmd_mv_zero(args):
@@ -227,22 +209,51 @@ def _cmd_mv_zero(args):
     if zero:
         result["subset"] = list(subset)
         result["subspace_basis"] = [jsonio.vector_to_json(v) for v in basis]
-    return _emit(args, _report(args, "mv-zero", result), EXIT_OK)
+    return result
 
 
 def _cmd_eval_current(args):
     p = _load_etv(args.cycle)
     tf = jsonio.testform_from_json(_load(args.form))
-    value = evaluate_current(p, tf)
-    return _emit(args, _report(args, "eval-current",
-                               {"value": rat_str(value)}), EXIT_OK)
+    return {"value": rat_str(evaluate_current(p, tf))}
 
 
 def _cmd_equivalent(args):
-    p = _load_etv(args.inputs[0])
-    q = _load_etv(args.inputs[1])
-    return _emit(args, _report(args, "equivalent",
-                               {"equivalent": equivalent(p, q)}), EXIT_OK)
+    p, q = [_load_etv(path) for path in args.inputs]
+    return {"equivalent": equivalent(p, q)}
+
+
+# positional and option arguments: (name, keyword arguments of add_argument)
+_INPUT = [("input", {})]
+_PAIR = [("inputs", {"nargs": 2})]
+_LIST = [("inputs", {"nargs": "+"})]
+
+# the command table, name -> (help, arguments, command): every command also
+# takes --seed and --output, and `main` makes, writes and maps to an exit
+# code the report of each; the help lists the commands in this order
+_COMMANDS = {
+    "validate-etp": ("check the cycle conditions", _INPUT, _cmd_validate_etp),
+    "boundary": ("framed boundary of a complex", _INPUT, _cmd_boundary),
+    "dual-fan": ("dual-fan cycle of a polytope",
+                 [("--polytope", {"required": True}),
+                  ("--k", {"type": int, "required": True})], _cmd_dual_fan),
+    "add": ("sum of two cycles", _PAIR, _cmd_add),
+    "product": ("stable product of two cycles", _PAIR, _cmd_product),
+    "stable-support": ("stable cells of two cycles", _PAIR, _cmd_stable_support),
+    "bergman": ("recession fan of a cycle", _INPUT, _cmd_bergman),
+    "corner-locus": ("corner locus of a PL function", _INPUT, _cmd_corner_locus),
+    "dc": ("weighted boundary of a cycle", [("function", {}), ("cycle", {})], _cmd_dc),
+    "mixed-ma": ("mixed product of corner loci", _LIST, _cmd_mixed_ma),
+    "mixed-volume": ("mixed volume via the mixed product", _LIST, _cmd_mixed_volume),
+    "mv-oracle": ("mixed volume by polarization", _LIST, _cmd_mv_oracle),
+    "degeneracy": ("family degeneracy verdict and witness",
+                   [("--family", {"required": True})], _cmd_degeneracy),
+    "mv-zero": ("zero mixed volume criterion",
+                [("--bodies", {"nargs": "+", "required": True})], _cmd_mv_zero),
+    "eval-current": ("pair a cycle with a test form",
+                     [("cycle", {}), ("form", {})], _cmd_eval_current),
+    "equivalent": ("same cycle class", _PAIR, _cmd_equivalent),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -252,94 +263,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--schema", action="store_true",
                         help="print the JSON schemas and exit")
     sub = parser.add_subparsers(dest="command")
-
-    def common(p):
+    for name, (help_text, arguments, command) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for arg, options in arguments:
+            p.add_argument(arg, **options)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output", help="write the report to a file")
-
-    p = sub.add_parser("validate-etp", help="check the cycle conditions")
-    p.add_argument("input")
-    common(p)
-    p.set_defaults(func=_cmd_validate_etp)
-
-    p = sub.add_parser("boundary", help="framed boundary of a complex")
-    p.add_argument("input")
-    common(p)
-    p.set_defaults(func=_cmd_boundary)
-
-    p = sub.add_parser("dual-fan", help="dual-fan cycle of a polytope")
-    p.add_argument("--polytope", required=True)
-    p.add_argument("--k", type=int, required=True)
-    common(p)
-    p.set_defaults(func=_cmd_dual_fan)
-
-    p = sub.add_parser("add", help="sum of two cycles")
-    p.add_argument("inputs", nargs=2)
-    common(p)
-    p.set_defaults(func=_cmd_add)
-
-    p = sub.add_parser("product", help="stable product of two cycles")
-    p.add_argument("inputs", nargs=2)
-    common(p)
-    p.set_defaults(func=_cmd_product)
-
-    p = sub.add_parser("stable-support", help="stable cells of two cycles")
-    p.add_argument("inputs", nargs=2)
-    common(p)
-    p.set_defaults(func=_cmd_stable_support)
-
-    p = sub.add_parser("bergman", help="recession fan of a cycle")
-    p.add_argument("input")
-    common(p)
-    p.set_defaults(func=_cmd_bergman)
-
-    p = sub.add_parser("corner-locus", help="corner locus of a PL function")
-    p.add_argument("input")
-    common(p)
-    p.set_defaults(func=_cmd_corner_locus)
-
-    p = sub.add_parser("dc", help="weighted boundary of a cycle")
-    p.add_argument("function")
-    p.add_argument("cycle")
-    common(p)
-    p.set_defaults(func=_cmd_dc)
-
-    p = sub.add_parser("mixed-ma", help="mixed product of corner loci")
-    p.add_argument("inputs", nargs="+")
-    common(p)
-    p.set_defaults(func=_cmd_mixed_ma)
-
-    p = sub.add_parser("mixed-volume", help="mixed volume via the mixed product")
-    p.add_argument("inputs", nargs="+")
-    common(p)
-    p.set_defaults(func=_cmd_mixed_volume)
-
-    p = sub.add_parser("mv-oracle", help="mixed volume by polarization")
-    p.add_argument("inputs", nargs="+")
-    common(p)
-    p.set_defaults(func=_cmd_mv_oracle)
-
-    p = sub.add_parser("degeneracy", help="family degeneracy verdict and witness")
-    p.add_argument("--family", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_degeneracy)
-
-    p = sub.add_parser("mv-zero", help="zero mixed volume criterion")
-    p.add_argument("--bodies", nargs="+", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_mv_zero)
-
-    p = sub.add_parser("eval-current", help="pair a cycle with a test form")
-    p.add_argument("cycle")
-    p.add_argument("form")
-    common(p)
-    p.set_defaults(func=_cmd_eval_current)
-
-    p = sub.add_parser("equivalent", help="same cycle class")
-    p.add_argument("inputs", nargs=2)
-    common(p)
-    p.set_defaults(func=_cmd_equivalent)
-
+        p.set_defaults(func=command)
     return parser
 
 
@@ -347,28 +277,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.schema:
-        sys.stdout.write(json.dumps(ALL_SCHEMAS, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(_dumps(ALL_SCHEMAS))
         return EXIT_OK
-    if not getattr(args, "command", None):
+    if not args.command:
         parser.print_help()
         return EXIT_PARSE
     try:
-        return args.func(args)
+        return _emit(args, args.func(args))
     except ParseError as exc:
-        sys.stdout.write(json.dumps({"status": "parse-error", "error": str(exc),
-                                     "conventions": CONVENTIONS},
-                                    sort_keys=True, indent=2) + "\n")
-        return EXIT_PARSE
+        return _fail("parse-error", exc, EXIT_PARSE)
     except ResourceCap as exc:
-        sys.stdout.write(json.dumps({"status": "resource-cap", "error": str(exc),
-                                     "conventions": CONVENTIONS},
-                                    sort_keys=True, indent=2) + "\n")
-        return EXIT_RESOURCE
+        return _fail("resource-cap", exc, EXIT_RESOURCE)
     except ValueError as exc:
-        sys.stdout.write(json.dumps({"status": "invalid", "error": str(exc),
-                                     "conventions": CONVENTIONS},
-                                    sort_keys=True, indent=2) + "\n")
-        return EXIT_INVALID
+        return _fail("invalid", exc, EXIT_INVALID)
 
 
 if __name__ == "__main__":

@@ -5,7 +5,9 @@ transversal selection is linearly dependent.  The witness algorithm
 follows the constructive narrowing: grow a maximal nondegenerate
 subfamily with independent representatives, then repeatedly shrink to the
 subfamily whose sets lie in the span of their own representatives; the
-loop ends with p sets inside a (p-1)-dimensional subspace.
+loop ends with p sets inside a (p-1)-dimensional subspace.  The greedy pass
+decides the verdict too, so a caller that wants both takes them from one
+search (`_find_witness`).
 
 Independence and span tests reduce one vector at a time against one
 incremental echelon form (`linalg.EchelonBasis`); the backtracking search
@@ -98,7 +100,17 @@ def is_nondegenerate(family: VectorFamily) -> bool:
 
 
 def degeneracy_witness(family: VectorFamily) -> DegeneracyWitness:
-    """Constructive witness: p sets inside a (p-1)-dim subspace.
+    """Constructive witness: p sets inside a (p-1)-dim subspace.  Raises
+    ValueError on a nondegenerate family."""
+    witness = _find_witness(family)
+    if witness is None:
+        raise ValueError("family is nondegenerate; no witness exists")
+    return witness
+
+
+def _find_witness(family: VectorFamily):
+    """The witness of a degenerate family, or None when it is nondegenerate:
+    the verdict and the witness of one search.
 
     Implements the narrowing proof: maximal nondegenerate subfamily with
     representatives c_i, an outside set C whose span lies in span(c_i),
@@ -117,7 +129,7 @@ def degeneracy_witness(family: VectorFamily) -> DegeneracyWitness:
             chosen.append(i)
             reps = transversal
     if len(chosen) == family.k:
-        raise ValueError("family is nondegenerate; no witness exists")
+        return None
     outside = next(i for i in range(family.k) if i not in chosen)
     rep_of = dict(zip(chosen, reps))
 
@@ -231,7 +243,6 @@ def ma_zero_criterion(*funcs: PLFunction):
             raise ValueError("criterion needs convex functions")
         if h.n != n:
             raise ValueError("ambient mismatch")
-    k = len(funcs)
     sets = []
     for idx, h in enumerate(funcs):
         locus = corner_locus(h)
@@ -244,9 +255,8 @@ def ma_zero_criterion(*funcs: PLFunction):
             return True, cert
         covs = tuple(dict.fromkeys(hyperplane_equations(locus)))
         sets.append(covs)
-    family = VectorFamily(n=n, sets=tuple(sets))
-    if k > n or not is_nondegenerate(family):
-        witness = degeneracy_witness(family)
+    witness = _find_witness(VectorFamily(n=n, sets=tuple(sets)))
+    if witness is not None:
         h_basis = complex_annihilator(witness.subspace_basis, n)
         correctors = []
         for i in witness.set_indices:
@@ -288,9 +298,8 @@ def mixed_volume_zero_criterion(*bodies):
             # a single point translates into the origin: p = 1, H = 0
             return True, (i,), ()
         sets.append(dirs)
-    family = VectorFamily(n=n, sets=tuple(sets))
-    if is_nondegenerate(family):
+    witness = _find_witness(VectorFamily(n=n, sets=tuple(sets)))
+    if witness is None:
         return False, None, None
-    witness = degeneracy_witness(family)
     real_basis = tuple(tuple(c.re for c in w) for w in witness.subspace_basis)
     return True, witness.set_indices, real_basis

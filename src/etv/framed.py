@@ -21,12 +21,12 @@ linearity tiling with each cell framed by d^c of the function there.
 Neighbours come from one facet-owner index, facet key -> the cells that
 have that facet, and one union-find over it.  Cells do not cache their
 facets; `canonicalize` builds those of each cell once per call, in a dict
-that its restarts and region unions share.  `irreducible_components`
-joins cells across every shared facet.  `canonicalize` joins equal-framed
-cells of one hull across free walls, facets that only those two cells own,
-and makes each region one cell, the envelope of the rows of its boundary
-facets (Bemporad, Fukuda, Torrisi 2001), when its cells satisfy those rows
-and do not overlap.
+that its validation, restarts and region unions share.
+`irreducible_components` joins cells across every shared facet.
+`canonicalize` joins equal-framed cells of one hull across free walls,
+facets that only those two cells own, and makes each region one cell, the
+envelope of the rows of its boundary facets (Bemporad, Fukuda, Torrisi
+2001), when its cells satisfy those rows and do not overlap.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ from .exterior import (Alt, ccov_form, complex_annihilator, complex_split,
                        quotient_density, wedge_all)
 from .linalg import basis_change_sign, det, det_at
 from .lp import OPTIMAL
-from .polyhedra import (HPoly, PolyhedralSet, common_refinement, face_to_face,
-                        triangulate)
+from .polyhedra import (HPoly, PolyhedralSet, _built_canonical, common_refinement,
+                        face_to_face, triangulate)
 from .polynomials import Poly
 from .scalars import CRat
 
@@ -130,9 +130,13 @@ def _sum_cells(n: int, k: int, pairs) -> FramedSet:
 
 def boundary(x: FramedSet) -> FramedSet:
     """Frames of facets summed with outward-first induced orientations."""
+    return _boundary(x, {})
+
+
+def _boundary(x: FramedSet, known: dict) -> FramedSet:
     return _sum_cells(x.n, x.k - 1, (
         (facet, c.frame if induced_facet_sign(c.poly, facet, ineq) > 0 else -c.frame)
-        for c in x.support_cells() for facet, ineq in c.poly.facets_with_normals()))
+        for c in x.support_cells() for facet, ineq in _facets(c.poly, known)))
 
 
 def is_closed(x: FramedSet) -> bool:
@@ -150,6 +154,10 @@ class ValidityReport:
 
 def is_etp(x: FramedSet) -> ValidityReport:
     """Check the cycle conditions; the witness names the first failure."""
+    return _is_etp(x, {})
+
+
+def _is_etp(x: FramedSet, known: dict) -> ValidityReport:
     if x.k < x.n:
         raise ValueError("dimension below n cannot carry a cycle structure")
     deg = 2 * x.n - x.k
@@ -165,7 +173,7 @@ def is_etp(x: FramedSet) -> ValidityReport:
         # covers the kill check
         if not frame_on_split(c.frame, split)[0]:
             return ValidityReport(False, f"cell {i}: restriction not real-valued")
-    bd = boundary(x)
+    bd = _boundary(x, known)
     for c in bd.cells:
         if not c.frame.is_zero():
             return ValidityReport(False, "boundary support nonempty")
@@ -252,7 +260,8 @@ def _framed(p) -> FramedSet:
 
 def _facets(poly: HPoly, known: dict):
     """`facets_with_normals` of a canonical cell, built once per cell key of
-    `known`, a dict that lives for one call of `canonicalize`."""
+    `known`, a dict that lives for one call of `canonicalize` (validation
+    included) or of `boundary`."""
     out = known.get(poly.key)
     if out is None:
         out = known[poly.key] = poly.facets_with_normals()
@@ -310,9 +319,7 @@ def _region_union(polys, known: dict):
     inside = polys[0].relint_point()
     if any(p.contains_point(inside) for p in polys[1:]):
         return None
-    merged = HPoly(polys[0].ambient, polys[0].eq, tuple(rows), _canonical=True)
-    merged._empty = False
-    return merged
+    return _built_canonical(polys[0].ambient, polys[0].eq, rows)
 
 
 def canonicalize(x, validate=True) -> EtvRep:
@@ -351,12 +358,12 @@ def canonicalize(x, validate=True) -> EtvRep:
     """
     if isinstance(x, EtvRep):
         return x
+    known: dict = {}  # cell key -> its facets, across validation and the restarts
     if validate:
-        report = is_etp(x)
+        report = _is_etp(x, known)
         if not report.ok:
             raise ValueError(f"not a valid cycle: {report.witness}")
     cells = _sum_cells(x.n, x.k, ((c.poly, c.frame) for c in x.cells)).support_cells()
-    known: dict = {}  # cell key -> its facets, across the restarts
     while True:
         walls = (own for own in _facet_owners(cells, known).values() if len(own) == 2
                  and cells[own[0]].poly.eq == cells[own[1]].poly.eq

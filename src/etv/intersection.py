@@ -12,7 +12,10 @@ most 2n points, so all but finitely many t are certified transversal.
 
 Transversality itself is one rank test per minimal face of each touching
 pair of cells: the smallest faces of the two cells at that minimal face
-decide it for every pair of faces that meet (see `transversal`).
+decide it for every pair of faces that meet (see `transversal`).  The test
+intersects every pair of cells, and `stable_intersection` and
+`stable_support` frame the intersections it leaves instead of intersecting
+the pairs again.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .linalg import intersect_rowspaces, rank
 from .polyhedra import HPoly, hyperplanes_of_cells, split_by_hyperplanes
 
 _ZERO = Fraction(0)
+_SHIFT_BUDGET = 40  # moment-curve points tried by default
 
 
 # ---------------------------------------------------------------------------
@@ -58,19 +62,30 @@ def transversal(x, y) -> bool:
     solve.  For fans a & b is a cone whose one minimal face is that space,
     so each pair of cells costs one rank test.
     """
-    xf = _framed(x)
-    yf = _framed(y)
+    return _transversal_meets(_framed(x), _framed(y)) is not None
+
+
+def _meets(xf: FramedSet, yf: FramedSet):
+    """(a, b, a & b in canonical form) for each support cell a of xf and b of yf."""
     for a in xf.support_cells():
         for b in yf.support_cells():
-            inter = a.poly.intersect(b.poly).canonical()  # no faces when empty
-            lineality = inter.ambient - rank([r for r, _ in inter.eq + inter.ineq])
-            for h0 in inter.faces(lineality):
-                p = h0.relint_point()
-                rows_a = [r for r, _ in a.poly.eq + a.poly.tight_at(p)]
-                rows_b = [r for r, _ in b.poly.eq + b.poly.tight_at(p)]
-                if rank(rows_a) + rank(rows_b) != rank(rows_a + rows_b):
-                    return False
-    return True
+            yield a, b, a.poly.intersect(b.poly).canonical()
+
+
+def _transversal_meets(xf: FramedSet, yf: FramedSet):
+    """The `_meets` of xf and yf when they are transversal, else None: the
+    test of `transversal`, which stops at the first pair that fails."""
+    meets = []
+    for a, b, inter in _meets(xf, yf):
+        lineality = inter.ambient - rank([r for r, _ in inter.eq + inter.ineq])
+        for h0 in inter.faces(lineality):  # none when a & b is empty
+            p = h0.relint_point()
+            rows_a = [r for r, _ in a.poly.eq + a.poly.tight_at(p)]
+            rows_b = [r for r, _ in b.poly.eq + b.poly.tight_at(p)]
+            if rank(rows_a) + rank(rows_b) != rank(rows_a + rows_b):
+                return None
+        meets.append((a, b, inter))
+    return meets
 
 
 # ---------------------------------------------------------------------------
@@ -97,18 +112,23 @@ def transversal_intersection(x, y) -> FramedSet:
     """Pairwise cell intersections framed by signed wedges."""
     xf = _framed(x)
     yf = _framed(y)
+    return _framed_meets(xf, yf, _meets(xf, yf))
+
+
+def _framed_meets(xf: FramedSet, yf: FramedSet, meets) -> FramedSet:
+    """`transversal_intersection` of xf and yf from their `_meets`, which are
+    taken only after the dimension check."""
     n = xf.n
     k_out = xf.k + yf.k - 2 * n
     if k_out < n:
         raise ValueError("dimension of the intersection falls below n")
-    xs = [(c, cell_sign(c.frame, c.poly.tangent_basis)) for c in xf.support_cells()]
-    ys = [(c, cell_sign(c.frame, c.poly.tangent_basis)) for c in yf.support_cells()]
+    sign = {id(c): cell_sign(c.frame, c.poly.tangent_basis)
+            for c in xf.support_cells() + yf.support_cells()}
     pairs = []
-    for a, sa in xs:
-        for b, sb in ys:
-            inter = a.poly.intersect(b.poly).canonical()
-            if not inter.is_empty() and inter.dim == k_out:
-                pairs.append((inter, _wedge_frame(a.frame, b.frame, sa * sb, inter)))
+    for a, b, inter in meets:
+        if not inter.is_empty() and inter.dim == k_out:
+            target = sign[id(a)] * sign[id(b)]
+            pairs.append((inter, _wedge_frame(a.frame, b.frame, target, inter)))
     return _sum_cells(n, k_out, pairs)
 
 
@@ -126,21 +146,27 @@ class ShiftBudgetExhausted(RuntimeError):
     pass
 
 
-def generic_shift(x, y, seed: int = 0, budget: int = 40) -> ShiftCertificate:
+def generic_shift(x, y, seed: int = 0, budget: int = _SHIFT_BUDGET) -> ShiftCertificate:
     """First certified transversal shift: zero, then moment-curve points.
 
     The points are (t, t^2, ..., t^{2n}) for t = seed+1, ..., seed+budget.
     """
-    xf = _framed(x)
-    yf = _framed(y)
+    return _shift_search(_framed(x), _framed(y), seed, budget)[0]
+
+
+def _shift_search(xf: FramedSet, yf: FramedSet, seed: int, budget: int):
+    """(certificate, yf shifted by it, their `_meets`) of `generic_shift`."""
     ambient = xf.ambient
-    if transversal(xf, yf):
-        return ShiftCertificate(tuple([_ZERO] * ambient), 0, True)
+    meets = _transversal_meets(xf, yf)
+    if meets is not None:
+        return ShiftCertificate(tuple([_ZERO] * ambient), 0, True), yf, meets
     for tries in range(1, budget + 1):
         t = Fraction(seed + tries)
         z = tuple(t ** i for i in range(1, ambient + 1))
-        if transversal(xf, yf.translated(z)):
-            return ShiftCertificate(z, tries, True)
+        shifted = yf.translated(z)
+        meets = _transversal_meets(xf, shifted)
+        if meets is not None:
+            return ShiftCertificate(z, tries, True), shifted, meets
     raise ShiftBudgetExhausted(f"no transversal shift found in {budget} candidates")
 
 
@@ -193,12 +219,12 @@ def stable_support(x, y, seed: int = 0) -> list:
         vmin = intersect_rowspaces(_min_space(k_fan), _min_space(l_fan), 2 * n)
         if len(vmin) != k_out:
             continue
-        shift = generic_shift(k_fan, l_fan, seed).shift
+        cert, shifted, meets = _shift_search(k_fan, l_fan, seed, _SHIFT_BUDGET)
         total = Alt(2 * n - k_out)
-        for c in transversal_intersection(k_fan, l_fan.translated(shift)).cells:
+        for c in _framed_meets(k_fan, shifted, meets).cells:
             total = total + c.frame
         if not total.is_zero():
-            out.append(StableSupportCell(cell=cand, frame=total, shift=shift))
+            out.append(StableSupportCell(cell=cand, frame=total, shift=cert.shift))
     out.sort(key=lambda s: repr(s.cell.key))
     return out
 
@@ -215,8 +241,9 @@ def stable_intersection(x, y, seed: int = 0, force_stable: bool = False) -> EtvR
     k_out = p.k + q.k - 2 * n
     if k_out < n:
         return zero_etv(n, n)
-    if not force_stable and transversal(p, q):
-        return canonicalize(transversal_intersection(p, q))
+    meets = None if force_stable else _transversal_meets(p.framed, q.framed)
+    if meets is not None:
+        return canonicalize(_framed_meets(p.framed, q.framed, meets))
     cells = [FramedCell(s.cell, s.frame) for s in stable_support(p, q, seed)]
     return canonicalize(FramedSet(n, k_out, cells))
 

@@ -43,8 +43,8 @@ from .framed import (EtvRep, FramedCell, FramedSet, _framed, boundary,
                      canonicalize, cell_weight, equivalent, translate, zero_etv)
 from .intersection import product_many
 from .linalg import rref
-from .polyhedra import (HPoly, VPolytope, _chart, _faces_below, _hull_facets, _prim_ineq,
-                        volume)
+from .polyhedra import (HPoly, VPolytope, _built_canonical, _chart, _faces_below,
+                        _hull_facets, _prim_ineq, volume)
 from .scalars import CRat
 
 _ZERO = Fraction(0)
@@ -172,9 +172,7 @@ def linearity_complex(h: PLFunction) -> list:
     cells = []
     for i, (f, g) in enumerate(first.values()):
         if i in rows:
-            poly = HPoly(2 * h.n, (), sorted(rows[i]), _canonical=True)
-            poly._empty = False
-            cells.append(LinearityCell(poly, f, g))
+            cells.append(LinearityCell(_built_canonical(2 * h.n, (), sorted(rows[i])), f, g))
     return cells
 
 

@@ -349,15 +349,24 @@ class HPoly:
         return HPoly(self.ambient, eq, ineq).canonical()
 
     def localized_cone(self, p) -> "HPoly":
-        """Cone of directions v with p + eps*v in the cell for small eps > 0."""
+        """Cone of directions v with p + eps*v in the cell for small eps > 0.
+
+        Built canonical from the canonical cell, with no LP: its equalities
+        are the cell's and its inequalities the rows tight at p, all with
+        right-hand side 0 and made primitive.  The rows stay in rref and
+        reduced, since the coefficient rows of the hull are the cell's.  No
+        row is an implicit equality, or the cell would have it too, and each
+        row is a facet: the tangent cone at p of the cell's facet on it.
+        """
         if not self.contains_point(p):
             raise ValueError("localization point not in cell")
-        eq = tuple((a, _ZERO) for a, _ in self.eq)
-        ineq = tuple((a, _ZERO) for a, _ in self.tight_at(p))
-        return HPoly(self.ambient, eq, ineq).canonical()
+        cell = self.canonical()
+        return _built_canonical(self.ambient, [_prim_eq(a, _ZERO) for a, _ in cell.eq],
+                                sorted(_prim_ineq(a, _ZERO) for a, _ in cell.tight_at(p)))
 
     def affine_hull(self) -> "HPoly":
-        return HPoly(self.ambient, self.eq, ()).canonical()
+        """The equalities of the canonical form, which are canonical alone."""
+        return _built_canonical(self.ambient, self.canonical().eq, ())
 
     def is_bounded(self) -> bool:
         return self.recession_cone().dim == 0
@@ -460,7 +469,12 @@ def _canonical_from_hull(ambient, eqs, ineqs) -> HPoly:
         else:
             i += 1
 
-    out = HPoly(ambient, eqs, tuple(sorted(irredundant)), _canonical=True)
+    return _built_canonical(ambient, eqs, sorted(irredundant))
+
+
+def _built_canonical(ambient, eq, ineq) -> HPoly:
+    """A nonempty HPoly whose rows are already in canonical form."""
+    out = HPoly(ambient, eq, ineq, _canonical=True)
     out._empty = False
     return out
 

@@ -507,7 +507,9 @@ class TestRegionMerging:
 
     def test_facets_built_once_per_cell_across_restarts(self, monkeypatch):
         """Two rows of squares merge one after the other, so the scan restarts;
-        each input cell and each merged cell has its facets built once."""
+        each input cell and each merged cell has its facets built once.  So
+        do two parallel lines, each cut at 0, a cycle: the validation and the
+        merging share the facets of the input cells."""
         merges = _count_merges(monkeypatch)
         built, hull_calls = [], [0]
         facets, from_hull = HPoly.facets_with_normals, polyhedra._canonical_from_hull
@@ -531,6 +533,20 @@ class TestRegionMerging:
         # the first merged row against the other row adds none, since the
         # two are disjoint
         assert hull_calls[0] == sum(len(c.ineq) for c in cells)
+
+        def ray(height, side):
+            return HPoly(2, eq=[((F(0), F(1)), F(height))],
+                         ineq=[((F(side), F(0)), F(0))]).canonical()
+
+        frame = Alt(1, {(0,): CRat(1)})
+        lines = FramedSet(1, 1, [FramedCell(ray(h, side), frame)
+                                 for h in (0, 1) for side in (1, -1)])
+        built.clear()
+        merges.clear()
+        got = canonicalize(lines).cells()
+        assert len(got) == 2 and len(merges) == 2
+        assert all(not c.poly.ineq for c in got)
+        assert sorted(built) == sorted(c.poly.key for c in lines.cells + got)
 
     def test_wall_with_a_third_owner_is_not_crossed(self):
         """The real axis cut at -1 and at 0, and an edge at 0: the wall at 0

@@ -806,3 +806,69 @@ class TestKnownPointShortcuts:
                     assert "emptiness" not in [_lp_kind(r, gamma.ambient) for r in lp_kinds]
                     cones += 1
         assert cones >= 150
+
+
+# ---------------------------------------------------------------------------
+# closed-form affine hulls and tangent cones against their LP construction
+
+def _affine_hull_by_lp(cell):
+    return canonical_reference(cell.ambient, cell.eq, ())
+
+
+def _localized_cone_by_lp(cell, p):
+    return canonical_reference(cell.ambient, [(a, F(0)) for a, _ in cell.eq],
+                               [(a, F(0)) for a, _ in cell.tight_at(p)])
+
+
+def _assert_closed_forms_match_lp(cell):
+    """The affine hull of the cell and of each of its faces, and the tangent
+    cone of each at the relative interior point of each face, against the
+    LP construction; the closed forms solve no LP.  Returns the number of
+    tangent cones compared."""
+    faces = [f for d in range(cell.dim + 1) for f in cell.faces(d)]
+    points = [f.relint_point() for f in faces]
+    want = [(f, _affine_hull_by_lp(f), [(p, _localized_cone_by_lp(f, p))
+                                        for p in points if f.contains_point(p)])
+            for f in faces]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an LP in a closed-form hull or cone")
+
+    compared = 0
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(polyhedra, "solve_lp", forbidden)
+        for f, hull, cones in want:
+            got = f.affine_hull()
+            assert got._canonical and got.key == hull.key
+            for p, cone in cones:
+                got = f.localized_cone(p)
+                assert got._canonical and got.key == cone.key
+                compared += 1
+    return compared
+
+
+class TestClosedFormHullAndCone:
+    @settings(max_examples=80, deadline=None)
+    @given(rows=hpoly_rows())
+    def test_random_polyhedra_and_faces(self, rows):
+        ambient, eq, ineq = rows
+        cell = HPoly(ambient, eq, ineq).canonical()
+        if not cell.is_empty():
+            assert _assert_closed_forms_match_lp(cell) >= 1
+
+    def test_corpus_fans_and_linearity_cells(self, polytope_corpus):
+        compared = 0
+        for _, gamma in polytope_corpus:
+            cells = [lc.poly for lc in linearity_complex(support_function(gamma))]
+            cells += [c.poly for k in valid_k_range(gamma)[:1]
+                      for c in dual_fan_etp(gamma, k, validate=False).framed_rep().cells]
+            for cell in cells:
+                compared += _assert_closed_forms_match_lp(cell)
+        assert compared >= 500
+
+    def test_non_canonical_cell(self):
+        square = HPoly(2, ineq=UNIT_SQUARE + [((F(1), F(1)), F(5))])
+        corner = pt(0, 0)
+        assert square.localized_cone(corner).key == \
+            _localized_cone_by_lp(square.canonical(), corner).key
+        assert square.affine_hull().key == HPoly(2).canonical().key
