@@ -29,7 +29,7 @@ from itertools import combinations
 from .exterior import complex_annihilator, real_covector_to_ccov
 from .framed import EtvRep
 from .linalg import EchelonBasis, kernel_basis, rref
-from .monge import AffineFunc, PLFunction, corner_locus
+from .monge import AffineFunc, PLFunction, _real_ambient, linearity_complex
 from .scalars import CRat
 
 _ZERO = Fraction(0)
@@ -236,6 +236,13 @@ def ma_zero_criterion(*funcs: PLFunction):
     Returns (zero, certificate): zero is True iff the family of hyperplane
     equations of the corner loci is degenerate, in which case a validated
     descent certificate for a subset of the functions is attached.
+
+    The equations are the facet rows of the linearity tiling of each
+    function, with no corner locus built.  A row a of a region P is the
+    normal a_P - a_Q of a wall between P and a region Q, where the jump
+    d^c(h_P) - d^c(h_Q) is nonzero (distinct upper vertices of one lifted
+    hull have distinct slopes), so the walls carry the corner locus; and h
+    is affine exactly when its tiling has one region.
     """
     n = funcs[0].n
     for h in funcs:
@@ -245,16 +252,16 @@ def ma_zero_criterion(*funcs: PLFunction):
             raise ValueError("ambient mismatch")
     sets = []
     for idx, h in enumerate(funcs):
-        locus = corner_locus(h)
-        if locus.is_zero():
+        tiling = linearity_complex(h)
+        if len(tiling) == 1:
             # affine function: its factor vanishes outright
             cert = HDegeneracyCertificate(
                 subset=(idx,), h_basis=tuple(complex_annihilator((), n)),
                 correctors=(AffineFunc(tuple(-c for c in h.plus[0].w),
                                        -h.plus[0].c),))
             return True, cert
-        covs = tuple(dict.fromkeys(hyperplane_equations(locus)))
-        sets.append(covs)
+        sets.append(tuple(dict.fromkeys(_normalize_line(real_covector_to_ccov(a))
+                                        for lc in tiling for a, _ in lc.poly.ineq)))
     witness = _find_witness(VectorFamily(n=n, sets=tuple(sets)))
     if witness is not None:
         h_basis = complex_annihilator(witness.subspace_basis, n)
@@ -288,9 +295,7 @@ def mixed_volume_zero_criterion(*bodies):
     Bodies are point lists in R^n.  Returns (zero, subset, subspace_basis)
     with real basis vectors when zero, else (False, None, None).
     """
-    n = len(bodies[0][0])
-    if len(bodies) != n:
-        raise ValueError(f"need exactly {n} bodies")
+    n = _real_ambient(bodies)
     sets = []
     for i, b in enumerate(bodies):
         dirs = _body_direction_set(b, n)

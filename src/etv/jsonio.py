@@ -43,11 +43,18 @@ def _list(obj, arity=None) -> list:
     return obj
 
 
-def _int(obj) -> int:
+def _int(obj, least=None) -> int:
+    """An integral number or a decimal string, not a boolean, at least the
+    schema minimum `least` when one is given."""
+    if isinstance(obj, bool) or isinstance(obj, float) and not obj.is_integer():
+        raise ParseError(f"bad integer {obj!r}")
     try:
-        return int(obj)
+        value = int(obj)
     except (ValueError, TypeError) as exc:
         raise ParseError(f"bad integer {obj!r}") from exc
+    if least is not None and value < least:
+        raise ParseError(f"integer {value} below the minimum {least}")
+    return value
 
 
 def _rat(obj) -> Fraction:
@@ -96,7 +103,7 @@ def form_to_json(form: Alt):
 
 def form_from_json(obj, n: int) -> Alt:
     """A complex form on C^n."""
-    degree = _int(_get(obj, "degree"))
+    degree = _int(_get(obj, "degree"), 0)
     terms = {_indices(_get(t, "indices"), degree, n): _crat(_get(t, "value"))
              for t in _list(_get(obj, "terms", []))}
     return Alt(degree, terms)
@@ -120,7 +127,7 @@ def hpoly_to_json(p: HPoly):
 
 
 def hpoly_from_json(obj) -> HPoly:
-    ambient = _int(_get(obj, "ambient"))
+    ambient = _int(_get(obj, "ambient"), 1)
     eq = [_functional_from_json(e, ambient) for e in _list(_get(obj, "eq", []))]
     ineq = [_functional_from_json(e, ambient) for e in _list(_get(obj, "ineq", []))]
     return HPoly(ambient, eq, ineq).canonical()
@@ -169,8 +176,8 @@ def framedset_to_json(x) -> dict:
 
 
 def framedset_from_json(obj) -> FramedSet:
-    n = _int(_get(obj, "n"))
-    k = _int(_get(obj, "k"))
+    n = _int(_get(obj, "n"), 1)
+    k = _int(_get(obj, "k"), 0)
     cells = []
     for entry in _list(_get(obj, "cells", [])):
         poly = hpoly_from_json(_get(entry, "geom"))
@@ -205,7 +212,7 @@ def plfunction_to_json(h: PLFunction):
 
 
 def plfunction_from_json(obj) -> PLFunction:
-    n = _int(_get(obj, "n"))
+    n = _int(_get(obj, "n"), 1)
     plus = tuple(affine_from_json(f) for f in _list(_get(obj, "plus")))
     minus = tuple(affine_from_json(f) for f in _list(_get(obj, "minus", [])))
     if any(len(f.w) != n for f in plus + minus):
@@ -226,7 +233,7 @@ def poly_from_json(obj, nvars: int) -> Poly:
 
 
 def testform_from_json(obj) -> TestForm:
-    degree = _int(_get(obj, "degree"))
+    degree = _int(_get(obj, "degree"), 0)
     window = tuple((_rat(lo), _rat(hi))
                    for lo, hi in (_list(w, 2) for w in _list(_get(obj, "window"))))
     nv = len(window)
@@ -238,7 +245,7 @@ def testform_from_json(obj) -> TestForm:
 
 def family_from_json(obj):
     from .degeneracy import VectorFamily
-    n = _int(_get(obj, "n"))
+    n = _int(_get(obj, "n"), 1)
     sets = tuple(tuple(cvector_from_json(v) for v in _list(s))
                  for s in _list(_get(obj, "sets")))
     if any(len(v) != n for s in sets for v in s):

@@ -28,7 +28,8 @@ so `corner_locus` does not validate it.
 
 The weighted-boundary operator takes a cycle X on whose cells h is affine
 to the boundary of the cycle framed by d^c(G) wedge frame, where G is the
-affine extension of h on each cell.
+affine extension of h on each cell.  The linearity tiling is the one answer
+to "where is h affine", here and in the zero criterion of `etv.degeneracy`.
 """
 
 from __future__ import annotations
@@ -122,18 +123,6 @@ class LinearityCell:
         return tuple(a - b for a, b in zip(self.plus_active.w, self.minus_active.w))
 
 
-def _max_region(family, i, ambient) -> HPoly:
-    ineqs = []
-    fi = family[i]
-    ci = fi.real_coeffs()
-    for j, fj in enumerate(family):
-        if j == i:
-            continue
-        cj = fj.real_coeffs()
-        ineqs.append((tuple(a - b for a, b in zip(cj, ci)), fi.c - fj.c))
-    return HPoly(ambient, (), ineqs)
-
-
 def _upper_vertex_rows(points) -> dict:
     """Index -> canonical rows of its region, for each upper vertex of the
     hull of distinct lifted points: one row per upper edge at the vertex."""
@@ -194,44 +183,34 @@ def support_function(gamma: VPolytope) -> PLFunction:
 # ---------------------------------------------------------------------------
 # the weighted-boundary operator
 
-def _active_affine_on(h: PLFunction, cell: HPoly):
-    """The affine extension of h on a cell, or None if h is not affine there."""
-    p = cell.relint_point()
-    best_plus = max(f.value(p) for f in h.plus)
-    best_minus = max(f.value(p) for f in h.minus)
-    ambient = cell.ambient
-    for i, fi in enumerate(h.plus):
-        if fi.value(p) != best_plus:
-            continue
-        ri = _max_region(h.plus, i, ambient)
-        if not ri.contains_poly(cell):
-            continue
-        for j, fj in enumerate(h.minus):
-            if fj.value(p) != best_minus:
-                continue
-            rj = _max_region(h.minus, j, ambient)
-            if rj.contains_poly(cell):
-                w = tuple(a - b for a, b in zip(fi.w, fj.w))
-                return AffineFunc(w=w, c=fi.c - fj.c)
-    return None
-
-
 def dc_weighted(h: PLFunction, x) -> EtvRep:
     """Boundary of the cycle reframed by d^c of the cellwise affine extension.
 
     Requires h to be affine on every support cell; the result has cycle
-    dimension one less and depends only on the class of the input.
+    dimension one less and depends only on the class of the input.  A cell
+    takes the differential of the first tiling region that contains its
+    relative interior point p, then the cell (one LP per region row).  One
+    does exactly when both maxima are affine on the cell: then a functional
+    ruling at p rules on all of it, so the face of the lifted sum maximizing
+    (z, 1) contains that for (p, 1) and its vertices.  Extensions from two
+    regions differ by an l vanishing on the cell, so d^c l kills T & JT and
+    d^c l ^ frame = 0, a valid frame being the top wedge of ann(T & JT).
     """
     framed = _framed(x)
     n = framed.n
+    if h.n != n:
+        raise ValueError("ambient mismatch")
     if framed.k - 1 < n:
         raise ValueError("weighted boundary drops below the cycle range")
+    tiling = linearity_complex(h)
     cells = []
     for c in framed.support_cells():
-        active = _active_affine_on(h, c.poly)
-        if active is None:
+        p = c.poly.relint_point()
+        region = next((lc for lc in tiling if lc.poly.contains_point(p)
+                       and lc.poly.contains_poly(c.poly)), None)
+        if region is None:
             raise ValueError("function is not affine on a support cell")
-        dc_form = ccov_form(dc_ccov(active.w))
+        dc_form = ccov_form(dc_ccov(region.differential()))
         cells.append(FramedCell(c.poly, wedge(dc_form, c.frame)))
     weighted = FramedSet(n, framed.k, cells)
     return canonicalize(boundary(weighted))
@@ -303,6 +282,16 @@ def mixed_volume_via_ma(*bodies: VPolytope, seed: int = 0) -> Fraction:
     return total / factorial(n)
 
 
+def _real_ambient(bodies) -> int:
+    """n, for n bodies of points of R^n."""
+    n = len(bodies[0][0])
+    if len(bodies) != n:
+        raise ValueError(f"need exactly {n} bodies")
+    if any(len(p) != n for b in bodies for p in b):
+        raise ValueError(f"bodies must be point lists in R^{n}")
+    return n
+
+
 def _real_minkowski(a, b):
     return [tuple(x + y for x, y in zip(p, q)) for p in a for q in b]
 
@@ -313,9 +302,7 @@ def mixed_volume_oracle(*bodies) -> Fraction:
     Bodies are plain point lists in R^n; the alternating sum of volumes of
     Minkowski sums over subsets divided by n! gives the mixed volume.
     """
-    n = len(bodies[0][0])
-    if len(bodies) != n:
-        raise ValueError(f"need exactly {n} bodies")
+    n = _real_ambient(bodies)
     total = _ZERO
     for r in range(1, n + 1):
         for subset in combinations(range(n), r):

@@ -6,12 +6,32 @@ functional cuts out the region where both rule; `full_dimensional` keeps it
 when one max-slack LP finds an interior point, and then builds its canonical
 form from its primitive rows with one redundancy LP per row.  The tests
 compare cells, keys and active functionals of the two.
+
+`dc_weighted` is the weighted boundary as it was before it read the
+tiling: the affine extension of h on each support cell from the
+max-region of every functional that rules at the cell's relative interior
+point, one LP per row of each region tried.
 """
 
+from etv.exterior import ccov_form, dc_ccov, wedge
+from etv.framed import FramedCell, FramedSet, _framed, boundary, canonicalize
 from etv.lp import OPTIMAL
-from etv.monge import LinearityCell, _max_region
+from etv.monge import AffineFunc, LinearityCell
 from etv.polyhedra import (_CANONICAL_MEMO, HPoly, _canonical_from_hull, _max_slack,
                            _primitive_rows, _remember)
+
+
+def _max_region(family, i, ambient) -> HPoly:
+    """Where the i-th functional of the family is a maximum."""
+    ineqs = []
+    fi = family[i]
+    ci = fi.real_coeffs()
+    for j, fj in enumerate(family):
+        if j == i:
+            continue
+        cj = fj.real_coeffs()
+        ineqs.append((tuple(a - b for a, b in zip(cj, ci)), fi.c - fj.c))
+    return HPoly(ambient, (), ineqs)
 
 
 def full_dimensional(ambient, ineq) -> HPoly | None:
@@ -55,3 +75,37 @@ def linearity_complex(h) -> list:
             seen.add(region.key)
             cells.append(LinearityCell(region, h.plus[i], h.minus[j]))
     return cells
+
+
+def _active_affine_on(h, cell: HPoly):
+    """The affine extension of h on a cell, or None if h is not affine there."""
+    p = cell.relint_point()
+    best_plus = max(f.value(p) for f in h.plus)
+    best_minus = max(f.value(p) for f in h.minus)
+    ambient = cell.ambient
+    for i, fi in enumerate(h.plus):
+        if fi.value(p) != best_plus:
+            continue
+        ri = _max_region(h.plus, i, ambient)
+        if not ri.contains_poly(cell):
+            continue
+        for j, fj in enumerate(h.minus):
+            if fj.value(p) != best_minus:
+                continue
+            rj = _max_region(h.minus, j, ambient)
+            if rj.contains_poly(cell):
+                w = tuple(a - b for a, b in zip(fi.w, fj.w))
+                return AffineFunc(w=w, c=fi.c - fj.c)
+    return None
+
+
+def dc_weighted(h, x):
+    """The weighted boundary of `etv.monge.dc_weighted` by max-region LPs."""
+    framed = _framed(x)
+    cells = []
+    for c in framed.support_cells():
+        active = _active_affine_on(h, c.poly)
+        if active is None:
+            raise ValueError("function is not affine on a support cell")
+        cells.append(FramedCell(c.poly, wedge(ccov_form(dc_ccov(active.w)), c.frame)))
+    return canonicalize(boundary(FramedSet(framed.n, framed.k, cells)))

@@ -216,6 +216,31 @@ class TestCommands:
         code, out = run(capsys, "mv-zero", "--bodies", a, a)
         assert code == 0 and out["zero"] is True and len(out["subset"]) == 2
 
+    @pytest.mark.parametrize("command", ["mv-oracle", "mv-zero"])
+    def test_bodies_of_different_dimensions_are_invalid(self, capsys, tmp_path, command):
+        a = write(tmp_path, "a.json", {"vertices": [["0", "0"], ["1", "0"]]})
+        b = write(tmp_path, "b.json", {"vertices": [["0", "0", "0"], ["1", "0", "0"]]})
+        args = [a, b] if command == "mv-oracle" else ["--bodies", a, b]
+        code, out = run(capsys, command, *args)
+        assert code == 1 and out["status"] == "invalid"
+
+    def test_dc_ambient_mismatch_is_invalid(self, capsys, tmp_path):
+        square = write(tmp_path, "square.json", {"vertices": [
+            ["0", "0", "0", "0"], ["1", "0", "0", "0"], ["0", "0", "1", "0"],
+            ["1", "0", "1", "0"]]})
+        code, fan = run(capsys, "dual-fan", "--polytope", square, "--k", "4")
+        x = write(tmp_path, "x4.json", fan["result"])
+        h = write(tmp_path, "h.json", {
+            "n": 1, "plus": [{"w": ["0"], "c": "0"}, {"w": ["1"], "c": "0"}]})
+        code, out = run(capsys, "dc", h, x)
+        assert code == 1 and out["error"] == "ambient mismatch"
+
+    def test_integer_field_of_wrong_type_is_a_parse_error(self, capsys, tmp_path):
+        h = write(tmp_path, "h.json", {
+            "n": True, "plus": [{"w": ["0"], "c": "0"}, {"w": ["1"], "c": "0"}]})
+        code, out = run(capsys, "corner-locus", h)
+        assert code == 2 and out["status"] == "parse-error"
+
     def test_corner_locus_and_eval_current(self, capsys, tmp_path):
         h = {"n": 1,
              "plus": [{"w": [{"re": "0", "im": "0"}], "c": "0"},
@@ -358,6 +383,38 @@ class TestPolyhedralSetJson:
 def test_reader_rejects_wrong_arity_and_types(reader, obj):
     with pytest.raises(jsonio.ParseError):
         reader(obj)
+
+
+_PIECES = [{"w": ["1", "0"], "c": "0"}]
+
+
+@pytest.mark.parametrize("reader, obj", [
+    (jsonio.plfunction_from_json, {"n": 2.7, "plus": _PIECES}),
+    (jsonio.plfunction_from_json, {"n": True, "plus": [{"w": ["1"], "c": "0"}]}),
+    (jsonio.plfunction_from_json, {"n": 0, "plus": [{"w": [], "c": "0"}]}),
+    (jsonio.family_from_json, {"n": -1, "sets": []}),
+    (jsonio.hpoly_from_json, {"ambient": 0}),
+    (jsonio.hpoly_from_json, {"ambient": 1.5}),
+    (jsonio.framedset_from_json, {"n": 1, "k": -1, "cells": []}),
+    (jsonio.framedset_from_json, {"n": 1, "k": False, "cells": []}),
+    (lambda obj: jsonio.form_from_json(obj, 2),
+     {"degree": 1.9, "terms": [{"indices": [0], "value": "1"}]}),
+    (lambda obj: jsonio.form_from_json(obj, 2), {"degree": -1}),
+    (lambda obj: jsonio.form_from_json(obj, 2),
+     {"degree": 1, "terms": [{"indices": [True], "value": "1"}]}),
+    (jsonio.testform_from_json, {"degree": -1, "window": []}),
+    (lambda obj: jsonio.poly_from_json(obj, 1), [{"exps": [1.5], "coeff": "1"}]),
+], ids=["n-fraction", "n-boolean", "n-zero", "family-n-negative", "ambient-zero",
+        "ambient-fraction", "k-negative", "k-boolean", "degree-fraction", "degree-negative",
+        "index-boolean", "test-form-degree-negative", "exponent-fraction"])
+def test_reader_rejects_non_integers_and_values_below_the_minimum(reader, obj):
+    with pytest.raises(jsonio.ParseError):
+        reader(obj)
+
+
+@pytest.mark.parametrize("n", [2, 2.0, "2"])
+def test_integral_numbers_and_decimal_strings_read_as_integers(n):
+    assert jsonio.plfunction_from_json({"n": n, "plus": _PIECES}).n == 2
 
 
 def test_complex_parts_parse_exactly():

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import degeneracy_reference as ref
 from etv import degeneracy
@@ -10,8 +12,10 @@ from etv.degeneracy import (DegeneracyWitness, HDegeneracyCertificate,
                             hyperplane_equations, is_nondegenerate,
                             ma_zero_criterion, mixed_volume_zero_criterion,
                             validate_h_certificate, witness_bruteforce)
+from etv.exterior import real_covector_to_ccov
 from etv.monge import (AffineFunc, PLFunction, affine_zero, corner_locus,
-                       mixed_ma, mixed_volume_oracle, support_function)
+                       linearity_complex, mixed_ma, mixed_volume_oracle,
+                       support_function)
 from etv.scalars import CRat
 
 
@@ -243,6 +247,37 @@ class TestHyperplaneEquations:
         assert all(w == cvec(1) for w in covs)  # all the same complex line in C^1
 
 
+def _wall_equations(tiling):
+    return {degeneracy._normalize_line(real_covector_to_ccov(a))
+            for lc in tiling for a, _ in lc.poly.ineq}
+
+
+class TestWallEquations:
+    """`ma_zero_criterion` reads the hyperplane equations of a convex
+    function off the facet rows of its linearity tiling; they are those of
+    the cells of its corner locus."""
+
+    def test_corpus_support_functions(self, polytope_corpus):
+        for name, gamma in polytope_corpus:
+            h = support_function(gamma)
+            assert _wall_equations(linearity_complex(h)) \
+                == set(hyperplane_equations(corner_locus(h))), name
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32))
+    def test_random_convex_functions(self, seed):
+        # few slopes and constants, so that pieces repeat slopes and tie
+        rng = random.Random(seed)
+        n = rng.randint(1, 3)
+        slopes = [cvec(*(CRat(rng.randint(-1, 1), rng.randint(-1, 1)) for _ in range(n)))
+                  for _ in range(3)]
+        h = PLFunction.convex(n, [AffineFunc(rng.choice(slopes), F(rng.randint(-1, 1)))
+                                  for _ in range(rng.randint(1, 4))])
+        tiling = linearity_complex(h)
+        assert _wall_equations(tiling) == set(hyperplane_equations(corner_locus(h)))
+        assert (len(tiling) == 1) == corner_locus(h).is_zero()
+
+
 class TestMaZeroCriterion:
     def test_complex_parallel_pair(self):
         h1 = PLFunction.convex(2, [affine_zero(2), AffineFunc(cvec(1, 0), F(0))])
@@ -308,6 +343,17 @@ class TestMixedVolumeZero:
         seg = [(F(0), F(0)), (F(1), F(0))]
         zero, subset, basis = mixed_volume_zero_criterion(pt_body, seg)
         assert zero and subset == (0,) and basis == ()
+
+    @pytest.mark.parametrize("bodies", [
+        ([(0, 0), (1, 0)], [(0, 0, 0), (1, 0, 0)]),
+        ([(0, 0), (1, 0)], [(0, 0), (0, 1, 0)]),
+        ([(0, 0, 0), (1, 0, 0)], [(0, 0), (0, 1)], [(0, 0, 0), (0, 0, 1)]),
+    ], ids=["r2-and-r3", "point-of-r3", "r2-among-r3"])
+    def test_points_of_another_dimension_are_rejected(self, bodies):
+        """The bodies must be point lists in R^n, n the number of bodies."""
+        for criterion in (mixed_volume_zero_criterion, mixed_volume_oracle):
+            with pytest.raises(ValueError, match="point lists in R\\^"):
+                criterion(*bodies)
 
 
 class TestCriterionInvariants:

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -11,6 +12,7 @@ from canonical_reference import canonical_reference
 from etv.dualfan import dual_fan_etp
 from etv.framed import (add, canonicalize, cell_weight, equivalent, is_etp,
                         is_positive, scale)
+from etv.jsonio import framedset_to_json
 from etv.monge import (AffineFunc, PLFunction, affine_zero, corner_locus,
                        dc_weighted, embed_real, is_r_generated,
                        linearity_complex, mixed_ma, mixed_volume_oracle,
@@ -151,8 +153,16 @@ class TestDcWeighted:
         full = dual_fan_etp(gamma, 2).result
         merged = canonicalize(full.framed)  # single full-space cell
         h = max_0_x1()
-        with pytest.raises(ValueError):
-            dc_weighted(h, merged)
+        for dc in (dc_weighted, ref.dc_weighted):
+            with pytest.raises(ValueError, match="not affine on a support cell"):
+                dc(h, merged)
+
+    def test_rejects_ambient_mismatch(self):
+        segment = VPolytope.from_points([pt(0, 0), pt(1, 0)])
+        square = VPolytope.from_points([pt(0, 0, 0, 0), pt(1, 0, 0, 0),
+                                        pt(0, 0, 1, 0), pt(1, 0, 1, 0)])
+        with pytest.raises(ValueError, match="ambient mismatch"):
+            dc_weighted(support_function(segment), dual_fan_etp(square, 4).framed_rep())
 
 
 class TestMixedMa:
@@ -357,6 +367,78 @@ class TestLiftedHull:
         loci = [corner_locus(h) for h in (h1, h2)]
         assert lp_count[0] == 0
         assert [len(locus.cells()) for locus in loci] == [1, 3]
+
+
+def _dc_outcome(dc, h, x):
+    """The JSON text of dc(h, x), or ValueError when dc rejects the input."""
+    try:
+        return json.dumps(framedset_to_json(dc(h, x)))
+    except ValueError:
+        return ValueError
+
+
+@pytest.fixture(scope="module")
+def corpus_fans(polytope_corpus):
+    """n -> the dual fans of the corpus bodies in C^n at every grade k with
+    k - 1 >= n that the body has."""
+    fans = {1: [], 2: []}
+    for _, gamma in polytope_corpus:
+        n = gamma.ambient // 2
+        for k in range(n + 1, 2 * n + 1):
+            if 2 * n - k <= gamma.dim:
+                fans[n].append(dual_fan_etp(gamma, k).framed_rep())
+    return fans
+
+
+class TestDcAgainstMaxRegions:
+    """`dc_weighted` reads the linearity tiling; the reference of
+    `linearity_reference` tries the max-region of every ruling functional
+    with LPs.  Both give the same framed set, byte for byte, or both reject
+    the input as not affine on a support cell."""
+
+    def test_corpus_functions_on_corpus_fans(self, polytope_corpus, corpus_fans):
+        # support functions, and their differences with that of a segment
+        # that is a Minkowski summand of a corpus body (mink-sq-diag, mink-segs)
+        minus = {seg.ambient // 2: support_function(seg).plus
+                 for name, seg in polytope_corpus if name in ("seg-diag", "seg-cplx")}
+        funcs = []
+        for _, gamma in polytope_corpus:
+            h = support_function(gamma)
+            funcs += [h, PLFunction(h.n, h.plus, minus[h.n])]
+        outcomes = []
+        for h in funcs:
+            for x in corpus_fans[h.n]:
+                outcomes.append(_dc_outcome(dc_weighted, h, x))
+                assert outcomes[-1] == _dc_outcome(ref.dc_weighted, h, x)
+        assert 0 < outcomes.count(ValueError) < len(outcomes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(h=pl_functions(max_n=2), pick=st.integers(0, 2 ** 16))
+    def test_random_functions(self, h, pick, corpus_fans):
+        """On a corpus fan and, in C^2, on the corner locus of h itself."""
+        fans = corpus_fans[h.n]
+        cycles = [fans[pick % len(fans)]]
+        if h.n == 2:
+            cycles.append(corner_locus(h))
+        for x in cycles:
+            assert _dc_outcome(dc_weighted, h, x) == _dc_outcome(ref.dc_weighted, h, x)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32))
+    def test_own_corner_locus(self, seed):
+        """dc(h, corner locus of h) on C^2, for h of two or three plus and one
+        or two minus pieces: each wall lies in the two regions beside it, so
+        the extension the two sides choose may differ."""
+        rng = random.Random(seed)
+
+        def family(size):
+            return tuple(dict.fromkeys(
+                AffineFunc(tuple(CRat(rng.randint(-1, 1), rng.randint(-1, 1))
+                                 for _ in range(2)), F(rng.randint(-1, 1)))
+                for _ in range(size)))
+        h = PLFunction(2, family(rng.randint(2, 3)), family(rng.randint(1, 2)))
+        x = corner_locus(h)
+        assert _dc_outcome(dc_weighted, h, x) == _dc_outcome(ref.dc_weighted, h, x)
 
 
 class TestCornerLociAreCycles:

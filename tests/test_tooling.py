@@ -1,7 +1,9 @@
 import ast
 import json
+import re
 import subprocess
 import sys
+from itertools import takewhile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -118,3 +120,14 @@ def test_every_slot_is_read():
     assert slots
     for name, cls, slot in slots:
         assert slot in loaded, f"{name}: {cls}.{slot} is never read"
+
+
+def test_readme_layout_table_names_every_module():
+    """Each library module but `__init__` has a row, as `etv.<name>`, in the
+    layout table of the README."""
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    table = takewhile(lambda line: line.startswith("|"),
+                      lines[lines.index("| module | contents |"):])
+    named = set(re.findall(r"`etv\.(\w+)`", "\n".join(table)))
+    modules = {p.stem for p in (ROOT / "src" / "etv").glob("*.py")} - {"__init__"}
+    assert modules - named == set()
