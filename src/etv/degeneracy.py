@@ -22,9 +22,9 @@ The same machinery runs over Q (real bodies, mixed volumes) and over Q(i)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .exterior import complex_annihilator, real_covector_to_ccov
 from .framed import EtvRep
@@ -36,27 +36,34 @@ _ZERO = Fraction(0)
 _BRUTEFORCE_CAP = 12  # sets; `witness_bruteforce` tries every subset
 
 
-@dataclass(frozen=True)
-class VectorFamily:
-    """Nonempty finite sets of nonzero covectors in an n-dim complex space."""
+class _Family(NamedTuple):
     n: int
     sets: tuple   # tuple of tuples of CRat-coordinate covectors
 
-    def __post_init__(self):
-        for s in self.sets:
+
+class VectorFamily(_Family):
+    """Nonempty finite sets of nonzero covectors in an n-dim complex space.
+
+    The check sits in `__new__`, which a `NamedTuple` body cannot define;
+    unpickling and `copy` call it too.
+    """
+    __slots__ = ()
+
+    def __new__(cls, n, sets):
+        for s in sets:
             if not s:
                 raise ValueError("family sets must be nonempty")
             for v in s:
                 if all(c.is_zero() for c in v):
                     raise ValueError("family vectors must be nonzero")
+        return super().__new__(cls, n, sets)
 
     @property
     def k(self):
         return len(self.sets)
 
 
-@dataclass(frozen=True)
-class DegeneracyWitness:
+class DegeneracyWitness(NamedTuple):
     p: int
     set_indices: tuple     # indices of B_1..B_p in the family
     subspace_basis: tuple  # (p-1) covectors spanning H
@@ -195,8 +202,7 @@ def hyperplane_equations(p: EtvRep) -> list:
 # ---------------------------------------------------------------------------
 # the zero criterion for mixed products
 
-@dataclass(frozen=True)
-class HDegeneracyCertificate:
+class HDegeneracyCertificate(NamedTuple):
     """A subset of the functions descends along a complex subspace.
 
     After adding the linear correctors, every function named in `subset`

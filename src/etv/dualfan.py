@@ -15,13 +15,13 @@ vector, facet basis) against the face basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exterior import Alt, ComplexSplit, complex_split, pairing, rho, wedge
 from .framed import EtvRep, FramedCell, FramedSet, canonicalize
 from .linalg import basis_change_sign, det
-from .polyhedra import VPolytope, dual_cone, volume_multivector
+from .polyhedra import VPolytope, _dual_n, dual_cone, volume_multivector
 from .scalars import CRat
 
 
@@ -43,8 +43,7 @@ def minus_i_power(m: int) -> CRat:
     return [CRat(1), CRat(0, -1), CRat(-1), CRat(0, 1)][m % 4]
 
 
-@dataclass
-class DualFanEtp:
+class DualFanEtp(NamedTuple):
     """Dual-fan cycle of a polytope: cones keyed by the faces they refine."""
     gamma: VPolytope
     k: int
@@ -70,7 +69,7 @@ def dual_fan_frame(face: VPolytope, split: ComplexSplit) -> Alt:
 
 def dual_fan_etp(gamma: VPolytope, k: int, validate=True) -> DualFanEtp:
     """The homogeneous k-cycle of dual cones of (2n-k)-faces of gamma."""
-    n = gamma.ambient // 2
+    n = _dual_n(gamma)
     if not n <= k <= 2 * n:
         raise ValueError(f"k={k} outside [{n}, {2 * n}]")
     m = 2 * n - k

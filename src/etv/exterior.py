@@ -31,7 +31,6 @@ subset of the quotient and complex bases (`frame_on_split`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
@@ -411,8 +410,7 @@ def frame_on_split(form: Alt, split: ComplexSplit) -> tuple[bool, bool, CRat]:
     return real, kills, density
 
 
-@dataclass(frozen=True)
-class Pushforward:
+class Pushforward(NamedTuple):
     """Quotient volume data of an odd form on a cell tangent space."""
     density: CRat          # value on the oriented quotient basis
     sign: int              # +1 / -1 / 0
@@ -434,8 +432,7 @@ def quotient_pushforward(form: Alt, tangent_basis) -> Pushforward:
 # ---------------------------------------------------------------------------
 # odd forms
 
-@dataclass(frozen=True)
-class OddForm:
+class OddForm(NamedTuple):
     """A complex form together with the orientation token it is written in."""
     form: Alt
     basis: tuple

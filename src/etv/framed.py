@@ -31,9 +31,9 @@ envelope of the rows of its boundary facets (Bemporad, Fukuda, Torrisi
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .exterior import (Alt, ccov_form, complex_annihilator, complex_split,
                        complexify, density_sign, evaluate_cform, frame_on_split,
@@ -49,8 +49,7 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class FramedCell:
+class FramedCell(NamedTuple):
     poly: HPoly   # canonical
     frame: Alt    # complex form at the orientation of poly.tangent_basis
 
@@ -60,6 +59,8 @@ class FramedCell:
 
 class FramedSet:
     """k-dimensional cells with degree-(2n-k) frames in C^n (ambient R^{2n})."""
+
+    __slots__ = ("n", "k", "cells")
 
     def __init__(self, n: int, k: int, cells=()):
         self.n = n
@@ -71,7 +72,7 @@ class FramedSet:
                 continue
             if poly.dim != k:
                 raise ValueError(f"cell of dimension {poly.dim} in a {k}-dim framed set")
-            self.cells.append(FramedCell(poly, c.frame))
+            self.cells.append(c if poly is c.poly else FramedCell(poly, c.frame))
         self.cells.sort(key=lambda c: repr(c.poly.key))
 
     @property
@@ -146,8 +147,7 @@ def is_closed(x: FramedSet) -> bool:
 # ---------------------------------------------------------------------------
 # validity
 
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(NamedTuple):
     ok: bool
     witness: str | None = None
 
@@ -225,6 +225,8 @@ def is_positive(p) -> bool:
 
 class EtvRep:
     """Canonical representative of a cycle class (validated, zero-free, merged)."""
+
+    __slots__ = ("framed",)
 
     def __init__(self, framed: FramedSet, _checked=False):
         if not _checked:
@@ -489,8 +491,7 @@ def irreducible_components(p) -> list[EtvRep]:
 # ---------------------------------------------------------------------------
 # currents
 
-@dataclass(frozen=True)
-class TestForm:
+class TestForm(NamedTuple):
     """Real form with polynomial coefficients over a bounded box window."""
     degree: int
     terms: tuple            # ((index tuple, Poly), ...)

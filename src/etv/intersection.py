@@ -20,8 +20,8 @@ the pairs again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exterior import (Alt, complex_split, density_sign, quotient_density, restrict,
                        wedge)
@@ -135,8 +135,7 @@ def _framed_meets(xf: FramedSet, yf: FramedSet, meets) -> FramedSet:
 # ---------------------------------------------------------------------------
 # generic shifts
 
-@dataclass
-class ShiftCertificate:
+class ShiftCertificate(NamedTuple):
     shift: tuple
     tries: int
     transversal: bool
@@ -173,8 +172,7 @@ def _shift_search(xf: FramedSet, yf: FramedSet, seed: int, budget: int):
 # ---------------------------------------------------------------------------
 # stable intersection
 
-@dataclass
-class StableSupportCell:
+class StableSupportCell(NamedTuple):
     cell: HPoly
     frame: Alt
     shift: tuple

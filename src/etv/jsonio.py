@@ -161,7 +161,12 @@ def points_from_json(obj):
 
 
 def vpolytope_from_json(obj) -> VPolytope:
-    return VPolytope.from_points(points_from_json(obj))
+    """A polytope of the dual of C^n: its vertices have 2n coordinates."""
+    points = points_from_json(obj)
+    if len(points[0]) % 2:
+        raise ParseError(f"vertices of {len(points[0])} coordinates: a polytope "
+                         "in the dual of C^n has 2n")
+    return VPolytope.from_points(points)
 
 
 def framedset_to_json(x) -> dict:

@@ -34,17 +34,17 @@ to "where is h affine", here and in the zero criterion of `etv.degeneracy`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
+from typing import NamedTuple
 
 from .exterior import ccov_form, ccov_to_real_covector, complexify, dc_ccov, wedge
 from .framed import (EtvRep, FramedCell, FramedSet, _framed, boundary,
                      canonicalize, cell_weight, equivalent, translate, zero_etv)
 from .intersection import product_many
 from .linalg import rref
-from .polyhedra import (HPoly, VPolytope, _built_canonical, _chart, _faces_below,
+from .polyhedra import (HPoly, VPolytope, _built_canonical, _chart, _dual_n, _faces_below,
                         _hull_facets, _prim_ineq, volume)
 from .scalars import CRat
 
@@ -52,8 +52,7 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class AffineFunc:
+class AffineFunc(NamedTuple):
     """z -> Re<z, w> + c with w a complex covector."""
     w: tuple      # CRat entries
     c: Fraction
@@ -69,8 +68,7 @@ def affine_zero(n: int) -> AffineFunc:
     return AffineFunc(w=tuple(CRat(0) for _ in range(n)), c=_ZERO)
 
 
-@dataclass(frozen=True)
-class PLFunction:
+class PLFunction(NamedTuple):
     """max(plus) - max(minus), both families nonempty and duplicate-free."""
     n: int
     plus: tuple
@@ -112,8 +110,7 @@ class PLFunction:
                           family_sum(self.minus, other.minus))
 
 
-@dataclass(frozen=True)
-class LinearityCell:
+class LinearityCell(NamedTuple):
     poly: HPoly
     plus_active: AffineFunc
     minus_active: AffineFunc
@@ -175,7 +172,7 @@ def corner_locus(h: PLFunction) -> EtvRep:
 
 def support_function(gamma: VPolytope) -> PLFunction:
     """max over the vertices of Re<z, vertex>, as a convex PL function."""
-    n = gamma.ambient // 2
+    n = _dual_n(gamma)
     funcs = [AffineFunc(w=complexify(v), c=_ZERO) for v in gamma.vertices]
     return PLFunction.convex(n, funcs)
 
@@ -260,7 +257,7 @@ def mixed_volume_via_ma(*bodies: VPolytope, seed: int = 0) -> Fraction:
     The product of the n corner loci is supported on translates of the
     imaginary plane; its total density divided by n! is the mixed volume.
     """
-    n = bodies[0].ambient // 2
+    n = _dual_n(bodies[0])
     if len(bodies) != n:
         raise ValueError(f"need exactly {n} bodies")
     for b in bodies:

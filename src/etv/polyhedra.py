@@ -65,10 +65,10 @@ minimal faces behind transversality all come from that one descent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
+from typing import NamedTuple
 
 from .linalg import det, det_at, kernel_basis, rank, rref, scale_primitive, solve
 from .lp import OPTIMAL, UNBOUNDED, solve_lp
@@ -482,8 +482,7 @@ def _built_canonical(ambient, eq, ineq) -> HPoly:
 # ---------------------------------------------------------------------------
 # V-polytopes
 
-@dataclass(frozen=True)
-class VPolytope:
+class VPolytope(NamedTuple):
     """Bounded rational polytope given by its vertex list (minimal)."""
     vertices: tuple
 
@@ -712,6 +711,15 @@ def volume_multivector(face: VPolytope, basis):
 # ---------------------------------------------------------------------------
 # dual cones
 
+def _dual_n(gamma: VPolytope) -> int:
+    """n for a polytope of the dual of C^n, whose points have 2n real
+    coordinates."""
+    if gamma.ambient % 2:
+        raise ValueError(f"a polytope in the dual of C^n has 2n coordinates, "
+                         f"not {gamma.ambient}")
+    return gamma.ambient // 2
+
+
 def dual_cone(gamma: VPolytope, delta: VPolytope) -> HPoly:
     """Cone of z where max over gamma of Re<z, .> is attained on all of delta."""
     from .exterior import real_functional_of_dual_point
@@ -736,12 +744,11 @@ def dual_cone(gamma: VPolytope, delta: VPolytope) -> HPoly:
 # ---------------------------------------------------------------------------
 # polyhedral sets
 
-@dataclass
-class PolyhedralSet:
+class PolyhedralSet(NamedTuple):
     """Finite k-dimensional complex given by its top cells."""
     k: int
     ambient: int
-    cells: list = field(default_factory=list)
+    cells: list
 
     @staticmethod
     def from_cells(k: int, ambient: int, cells) -> "PolyhedralSet":

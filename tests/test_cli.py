@@ -7,7 +7,8 @@ from etv import cli, jsonio
 from etv.cli import main
 from etv.dualfan import dual_fan_etp
 from etv.framed import canonicalize, equivalent
-from etv.monge import PLFunction, affine_zero, AffineFunc
+from etv.monge import (PLFunction, affine_zero, AffineFunc, corner_locus,
+                       mixed_volume_via_ma, support_function)
 from etv.polyhedra import HPoly, VPolytope
 from etv.scalars import CRat
 
@@ -420,3 +421,48 @@ def test_integral_numbers_and_decimal_strings_read_as_integers(n):
 def test_complex_parts_parse_exactly():
     assert jsonio.cvector_from_json([{"re": 0.1, "im": 0}, {"re": "1/3", "im": 0.25}, 0.1]) \
         == (CRat(F(1, 10)), CRat(F(1, 3), F(1, 4)), CRat(F(1, 10)))
+
+
+_ODD_POLYTOPE = {"vertices": [["0", "0", "0"], ["1", "0", "0"], ["0", "1", "0"]]}
+
+
+class TestOddDualCoordinates:
+    """A polytope of the dual of C^n has 2n real coordinates, so an odd count
+    is refused, not indexed past; `mv-oracle` and `mv-zero` read real points
+    of R^n, of any length."""
+
+    @pytest.mark.parametrize("argv", [
+        ("dual-fan", "--polytope", "{p}", "--k", "1"),
+        ("mixed-volume", "{p}"),
+        ("mixed-volume", "{p}", "{p}"),
+    ], ids=["dual-fan", "mixed-volume-one", "mixed-volume-two"])
+    def test_commands_exit_with_a_parse_error(self, capsys, tmp_path, argv):
+        p = write(tmp_path, "odd.json", _ODD_POLYTOPE)
+        code, out = run(capsys, *(a.format(p=p) for a in argv))
+        assert code == cli.EXIT_PARSE and out["status"] == "parse-error"
+        assert "2n" in out["error"]
+
+    def test_reader(self):
+        with pytest.raises(jsonio.ParseError):
+            jsonio.vpolytope_from_json(_ODD_POLYTOPE)
+        assert len(jsonio.points_from_json(_ODD_POLYTOPE)) == 3
+
+    @pytest.mark.parametrize("call", [
+        support_function,
+        lambda gamma: corner_locus(support_function(gamma)),
+        lambda gamma: dual_fan_etp(gamma, 1),
+        mixed_volume_via_ma,
+    ], ids=["support-function", "corner-locus", "dual-fan", "mixed-volume"])
+    def test_library_raises_value_error(self, call):
+        gamma = VPolytope.from_points([pt(0, 0, 0), pt(1, 0, 0), pt(0, 1, 0)])
+        with pytest.raises(ValueError, match="2n coordinates"):
+            call(gamma)
+
+    def test_real_points_of_any_length_still_read(self, capsys, tmp_path):
+        bodies = [write(tmp_path, f"e{i}.json",
+                        {"vertices": [["0"] * 3, [str(int(i == j)) for j in range(3)]]})
+                  for i in range(3)]
+        code, out = run(capsys, "mv-oracle", *bodies)
+        assert code == 0 and out["value"] == "1/6"
+        code, out = run(capsys, "mv-zero", "--bodies", *bodies)
+        assert code == 0 and out["zero"] is False

@@ -1,5 +1,7 @@
 import ast
+import importlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -131,3 +133,34 @@ def test_readme_layout_table_names_every_module():
     named = set(re.findall(r"`etv\.(\w+)`", "\n".join(table)))
     modules = {p.stem for p in (ROOT / "src" / "etv").glob("*.py")} - {"__init__"}
     assert modules - named == set()
+
+
+def _library_classes():
+    for path in sorted((ROOT / "src" / "etv").glob("*.py")):
+        module = importlib.import_module("etv" if path.stem == "__init__" else f"etv.{path.stem}")
+        for obj in vars(module).values():
+            if isinstance(obj, type) and obj.__module__ == module.__name__:
+                yield obj
+
+
+def test_every_class_is_a_record_slotted_or_an_exception():
+    """Library objects carry no per-instance `__dict__`: each class is a
+    `NamedTuple`, declares `__slots__`, or is an exception."""
+    classes = list(_library_classes())
+    assert classes
+    for cls in classes:
+        if issubclass(cls, BaseException):
+            continue
+        record = issubclass(cls, tuple) and hasattr(cls, "_fields")
+        assert record or "__slots__" in vars(cls), f"{cls.__qualname__} is neither"
+        assert cls.__dictoffset__ == 0, f"{cls.__qualname__} instances have a __dict__"
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """`import etv.cli` is paid on every CLI call; these two modules cost
+    about a fifth of it and no computation needs them."""
+    code = "import sys, etv.cli; print(*{'dataclasses', 'inspect'} & set(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120, env=env)
+    assert out.stdout.split() == []
