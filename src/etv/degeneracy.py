@@ -45,7 +45,8 @@ class VectorFamily(_Family):
     """Nonempty finite sets of nonzero covectors in an n-dim complex space.
 
     The check sits in `__new__`, which a `NamedTuple` body cannot define;
-    unpickling and `copy` call it too.
+    unpickling and `copy` call it too, and so do `_make` and `_replace`,
+    which builds through `_make`.
     """
     __slots__ = ()
 
@@ -57,6 +58,10 @@ class VectorFamily(_Family):
                 if all(c.is_zero() for c in v):
                     raise ValueError("family vectors must be nonzero")
         return super().__new__(cls, n, sets)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def k(self):

@@ -53,8 +53,7 @@ class DualFanEtp(NamedTuple):
     def framed_rep(self) -> FramedSet:
         """The unmerged fan representative; support functions are linear on
         each of its cones."""
-        n = self.gamma.ambient // 2
-        return FramedSet(n, self.k,
+        return FramedSet(_dual_n(self.gamma), self.k,
                          [FramedCell(cone, frame) for _, cone, frame in self.face_map])
 
 
@@ -90,7 +89,7 @@ def dual_fan_etp(gamma: VPolytope, k: int, validate=True) -> DualFanEtp:
 
 
 def valid_k_range(gamma: VPolytope):
-    n = gamma.ambient // 2
+    n = _dual_n(gamma)
     return range(max(n, 2 * n - gamma.dim), 2 * n + 1)
 
 
@@ -115,9 +114,9 @@ def _oriented_facets(face: VPolytope):
 def pascal_check(gamma: VPolytope, m: int) -> bool:
     """Oriented volume multivectors of m-faces sum to zero around every
     (m+1)-face; the complexified cochain also vanishes beyond dimension n."""
+    n = _dual_n(gamma)
     if m < 0 or m > gamma.dim:
         raise ValueError("face dimension out of range")
-    n = gamma.ambient // 2
     if m + 1 <= gamma.dim:
         for face in gamma.faces(m + 1):
             total = Alt(m)

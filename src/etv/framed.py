@@ -10,13 +10,15 @@ Because canonical tangent bases depend only on the direction space of a
 cell, refining or translating cells never changes the reference
 orientation, so frames can be compared and summed directly.  `_sum_cells`
 is the one place they are: it sums the frames of (canonical cell, frame)
-pairs per cell key.  Boundaries sum facet frames, sums and classes of
-cycles sum the frames of the pieces of the common refinement (each piece
-inherits the frame of the cell it was cut from, so no point location is
-needed), transversal intersections sum signed wedges, recession fans sum
-the frames of the cones cut into pieces, `canonicalize` sums repeated
-cells, and the corner locus of a PL function is the boundary of its
-linearity tiling with each cell framed by d^c of the function there.
+pairs per cell key.  Boundaries sum facet frames, transversal
+intersections sum signed wedges, `canonicalize` sums repeated cells and
+sums each merged region into a cell outside it with the same key, and the
+corner locus of a PL function is the boundary of its linearity tiling
+with each cell framed by d^c of the function there.  `_refined_sum` is the
+one refinement of the cycle group: sums, classes and recession fans sum
+the frames of the pieces of the common refinement of their cells (each
+piece inherits the frame of the cell it was cut from, so no point location
+is needed).
 
 Neighbours come from one facet-owner index, facet key -> the cells that
 have that facet, and one union-find over it.  Cells do not cache their
@@ -334,7 +336,11 @@ def canonicalize(x, validate=True) -> EtvRep:
     whole or not at all, when its union is convex and face-to-face with
     every cell outside it.  Regions are taken in the order of their first
     cell; a merged cell goes to the end and the scan restarts, since
-    face-to-face verdicts can change.
+    face-to-face verdicts can change.  Before the restart the merged cell
+    is summed into a cell outside it with the same key, and dropped with
+    that cell when the sum is zero, so no cell is listed twice.  A merged
+    region can equal a cell outside it only when the input overlaps, and a
+    face-to-face complex never does.
 
     Lemma: let R be canonical k-cells with one `eq`; a facet of a cell of R
     is a boundary facet when no other cell of R has it.  U = |R| is convex,
@@ -376,7 +382,12 @@ def canonicalize(x, validate=True) -> EtvRep:
             merged = _region_union([cells[i].poly for i in region], known)
             rest = [c for i, c in enumerate(cells) if i not in region]
             if merged is not None and all(face_to_face(merged, o.poly) for o in rest):
-                cells = rest + [FramedCell(merged, cells[region[0]].frame)]
+                frame = cells[region[0]].frame
+                twin = next((o for o in rest if o.poly.key == merged.key), None)
+                if twin is not None:
+                    rest.remove(twin)
+                    frame = frame + twin.frame
+                cells = rest if frame.is_zero() else rest + [FramedCell(merged, frame)]
                 break
         else:
             return EtvRep(FramedSet(x.n, x.k, cells), _checked=True)
@@ -389,32 +400,36 @@ def zero_etv(n: int, k: int) -> EtvRep:
 # ---------------------------------------------------------------------------
 # group structure
 
-def _refined(x: FramedSet, y: FramedSet):
-    """(piece, frame) pairs of the support cells of x and of y, cut into the
-    pieces of the common refinement of the two supports."""
-    xs, ys = x.support_cells(), y.support_cells()
-    px, py, _ = common_refinement(PolyhedralSet(x.k, x.ambient, [c.poly for c in xs]),
-                                  PolyhedralSet(y.k, y.ambient, [c.poly for c in ys]))
-    return ([(piece, c.frame) for i, c in enumerate(xs) for piece in px[i]],
-            [(piece, c.frame) for i, c in enumerate(ys) for piece in py[i]])
+def _refined_sum(n: int, k: int, xs, ys=()) -> FramedSet:
+    """The frames of (cell, frame) pairs xs and ys summed on the pieces of
+    the common refinement of their cells, each piece framed by the cell it
+    was cut from.  Pieces of one hull are cells of one hyperplane
+    arrangement, so they are equal or meet in lower dimension, and the sum
+    is zero exactly when the pairs form the zero cycle."""
+    xs, ys = list(xs), list(ys)
+    px, py, _ = common_refinement(PolyhedralSet(k, 2 * n, [c for c, _ in xs]),
+                                  PolyhedralSet(k, 2 * n, [c for c, _ in ys]))
+    return _sum_cells(n, k, [(piece, frame) for parts, pairs in ((px, xs), (py, ys))
+                             for i, (_, frame) in enumerate(pairs) for piece in parts[i]])
 
 
 def equivalent(p, q) -> bool:
-    """Same cycle class: frames agree on the common refinement of supports."""
+    """Same cycle class: the refined sum of p and -q has no support.  Cycles
+    of different dimensions are equivalent when both sum to zero."""
     x = _framed(p)
     y = _framed(q)
     if x.n != y.n:
         raise ValueError("ambient mismatch")
     xs = x.support_cells()
-    ys = y.support_cells()
-    if not xs or not ys or x.k != y.k:
-        return not xs and not ys
-    xp, yp = _refined(x, y)
-    return not _sum_cells(x.n, x.k, xp + [(piece, -f) for piece, f in yp]).support_cells()
+    ys = [(c.poly, -c.frame) for c in y.support_cells()]
+    if x.k == y.k:
+        return not _refined_sum(x.n, x.k, xs, ys).support_cells()
+    return not (_refined_sum(x.n, x.k, xs).support_cells()
+                or _refined_sum(y.n, y.k, ys).support_cells())
 
 
 def add(p, q) -> EtvRep:
-    """Sum of cycles: frames added on the common refinement."""
+    """Sum of cycles: the canonical form of their refined sum."""
     x = _framed(p)
     y = _framed(q)
     if x.n != y.n:
@@ -425,8 +440,8 @@ def add(p, q) -> EtvRep:
         return canonicalize(p, validate=False)
     if x.k != y.k:
         raise ValueError("dimension mismatch in sum")
-    xp, yp = _refined(x, y)
-    return canonicalize(_sum_cells(x.n, x.k, xp + yp), validate=False)
+    return canonicalize(_refined_sum(x.n, x.k, x.support_cells(), y.support_cells()),
+                        validate=False)
 
 
 def scale(t, p) -> EtvRep:
@@ -553,6 +568,9 @@ def _shuffle_sign(s_tuple, t_tuple):
 def evaluate_current(p, tf: TestForm) -> Fraction:
     """Exact integral sum over cells of (restricted frame) wedge (test form)."""
     x = _framed(p)
+    if len(tf.window) != x.ambient:
+        raise ValueError(f"test form window has {len(tf.window)} intervals, "
+                         f"the cycle {x.ambient} real coordinates")
     deg_frame = 2 * x.n - x.k
     if deg_frame + tf.degree != x.k:
         raise ValueError("test form degree does not complement the frame degree")

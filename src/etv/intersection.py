@@ -25,11 +25,11 @@ from typing import NamedTuple
 
 from .exterior import (Alt, complex_split, density_sign, quotient_density, restrict,
                        wedge)
-from .framed import (EtvRep, FramedCell, FramedSet, _framed, _sum_cells, add,
-                     canonicalize, cell_sign, is_positive, negate, split_positive,
-                     zero_etv)
+from .framed import (EtvRep, FramedCell, FramedSet, _framed, _refined_sum, _sum_cells,
+                     add, canonicalize, cell_sign, is_positive, negate,
+                     split_positive, zero_etv)
 from .linalg import intersect_rowspaces, rank
-from .polyhedra import HPoly, hyperplanes_of_cells, split_by_hyperplanes
+from .polyhedra import HPoly
 
 _ZERO = Fraction(0)
 _SHIFT_BUDGET = 40  # moment-curve points tried by default
@@ -284,17 +284,10 @@ def product_many(factors, seed: int = 0) -> EtvRep:
 # Bergman (recession) fans
 
 def bergman_fan(x) -> EtvRep:
-    """Recession fan with frames summed over cells receding into each cone."""
+    """Recession fan: the refined sum of the top-dimensional recession cones,
+    each framed by its cell.  Pieces of those cones, cut by their own
+    hyperplanes, are already equal or meet in lower dimension; the
+    hyperplanes of lower-dimensional cones would only over-cut."""
     p = canonicalize(x)
-    n = p.n
-    k = p.k
-    cells = p.framed.support_cells()
-    if not cells:
-        return zero_etv(n, k)
-    recession = [(c, c.poly.recession_cone()) for c in cells]
-    hyps = hyperplanes_of_cells([rc for _, rc in recession if rc.dim > 0])
-    # the walls of every cone are among hyps, so a piece lies in a cone
-    # exactly when it is one of that cone's pieces
-    pairs = [(piece, c.frame) for c, rc in recession if rc.dim == k
-             for piece in split_by_hyperplanes(rc, hyps)]
-    return canonicalize(_sum_cells(n, k, pairs))
+    cones = [(c.poly.recession_cone(), c.frame) for c in p.framed.support_cells()]
+    return canonicalize(_refined_sum(p.n, p.k, [(rc, f) for rc, f in cones if rc.dim == p.k]))

@@ -86,14 +86,6 @@ class PLFunction(NamedTuple):
     def is_convex(self) -> bool:
         return len(self.minus) == 1
 
-    def shifted(self, a) -> "PLFunction":
-        """The function z -> value(z - a)."""
-        def move(f: AffineFunc) -> AffineFunc:
-            drop = sum(x * y for x, y in zip(f.real_coeffs(), a))
-            return AffineFunc(f.w, f.c - drop)
-        return PLFunction(self.n, tuple(move(f) for f in self.plus),
-                          tuple(move(f) for f in self.minus))
-
     def plus_sum(self, other: "PLFunction") -> "PLFunction":
         """Pointwise sum, using max-family addition on both parts."""
         if self.n != other.n:

@@ -134,6 +134,8 @@ class HPoly:
         return HPoly(self.ambient, self.eq, self.ineq + ((tuple(coeffs), rhs),))
 
     def translate(self, vec) -> "HPoly":
+        if len(vec) != self.ambient:
+            raise ValueError(f"translation by {len(vec)} coordinates in R^{self.ambient}")
         if self.is_empty():
             return self
         eq = [(a, b + sum(x * y for x, y in zip(a, vec))) for a, b in self.eq]

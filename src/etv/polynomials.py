@@ -39,9 +39,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly.const(self.nvars, other)
@@ -85,16 +82,6 @@ class Poly:
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.terms == other.terms
-
-    def eval(self, point):
-        total = _ZERO
-        for e, c in self.terms.items():
-            term = c
-            for x, p in zip(point, e):
-                for _ in range(p):
-                    term *= x
-            total += term
-        return total
 
     def derivative(self, i: int) -> "Poly":
         out = {}

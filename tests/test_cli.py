@@ -5,7 +5,7 @@ import pytest
 
 from etv import cli, jsonio
 from etv.cli import main
-from etv.dualfan import dual_fan_etp
+from etv.dualfan import DualFanEtp, dual_fan_etp, pascal_check, valid_k_range
 from etv.framed import canonicalize, equivalent
 from etv.monge import (PLFunction, affine_zero, AffineFunc, corner_locus,
                        mixed_volume_via_ma, support_function)
@@ -109,6 +109,20 @@ class TestCommands:
         code, fan_out = run(capsys, "dual-fan", "--polytope", square_file, "--k", "1")
         x = write(tmp_path, "x.json", fan_out["result"])
         code, out = run(capsys, "equivalent", x, x)
+        assert code == 0 and out["equivalent"] is True
+
+    def test_line_minus_its_halves_is_equivalent_to_empty(self, capsys, tmp_path):
+        def cell(ineq, value):
+            geom = {"ambient": 2, "eq": [{"coeffs": ["0", "1"], "const": "0"}],
+                    "ineq": [{"coeffs": ineq, "const": "0"}] if ineq else []}
+            form = {"degree": 1, "terms": [{"indices": [0], "value": value}]}
+            return {"geom": geom, "frame": {"form": form}}
+
+        y = {"n": 1, "k": 1,
+             "cells": [cell(None, "1"), cell(["-1", "0"], "-1"), cell(["1", "0"], "-1")]}
+        empty = {"n": 1, "k": 1, "cells": []}
+        code, out = run(capsys, "equivalent", write(tmp_path, "y.json", y),
+                        write(tmp_path, "empty.json", empty))
         assert code == 0 and out["equivalent"] is True
 
     def test_validate_etp_failure_exit_code(self, capsys, tmp_path):
@@ -257,6 +271,22 @@ class TestCommands:
                                                          "coeff": "1"}]}]})
         code, out = run(capsys, "eval-current", cyc, phi)
         assert code == 0 and out["value"] == "2"
+
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_eval_current_window_of_the_wrong_size(self, capsys, tmp_path, size):
+        h = {"n": 1,
+             "plus": [{"w": [{"re": "0", "im": "0"}], "c": "0"},
+                      {"w": [{"re": "1", "im": "0"}], "c": "0"}],
+             "minus": [{"w": [{"re": "0", "im": "0"}], "c": "0"}]}
+        code, out = run(capsys, "corner-locus", write(tmp_path, "h.json", h))
+        cyc = write(tmp_path, "cyc.json", out["result"])
+        phi = write(tmp_path, "phi.json",
+                    {"degree": 0, "window": [["-1", "1"]] * size,
+                     "terms": [{"indices": [], "poly": [{"exps": [0] * size,
+                                                         "coeff": "1"}]}]})
+        code, out = run(capsys, "eval-current", cyc, phi)
+        assert code == cli.EXIT_INVALID and out["status"] == "invalid"
+        assert f"{size} intervals" in out["error"] and "2 real coordinates" in out["error"]
 
     def test_boundary_command(self, capsys, tmp_path, square_file):
         code, fan_out = run(capsys, "dual-fan", "--polytope", square_file, "--k", "1")
@@ -451,8 +481,12 @@ class TestOddDualCoordinates:
         support_function,
         lambda gamma: corner_locus(support_function(gamma)),
         lambda gamma: dual_fan_etp(gamma, 1),
+        valid_k_range,
+        lambda gamma: pascal_check(gamma, 0),
+        lambda gamma: DualFanEtp(gamma, 1, None, []).framed_rep(),
         mixed_volume_via_ma,
-    ], ids=["support-function", "corner-locus", "dual-fan", "mixed-volume"])
+    ], ids=["support-function", "corner-locus", "dual-fan", "valid-k-range", "pascal-check",
+            "framed-rep", "mixed-volume"])
     def test_library_raises_value_error(self, call):
         gamma = VPolytope.from_points([pt(0, 0, 0), pt(1, 0, 0), pt(0, 1, 0)])
         with pytest.raises(ValueError, match="2n coordinates"):

@@ -115,7 +115,30 @@ class TestCanonicalize:
         assert [c.poly.key for c in rep.cells()] == [c.poly.key for c in again.cells()]
 
 
+def _real_half_line(sign):
+    return HPoly(2, eq=[((F(0), F(1)), F(0))], ineq=[((F(-sign), F(0)), F(0))]).canonical()
+
+
+def zero_cycles_of_overlapping_cells():
+    """The dz-framed real line of C listed twice, with opposite frames, and
+    the line minus its two closed half-lines: both are the zero cycle."""
+    line = real_axis_cell()
+    twice = FramedSet(1, 1, [line, real_axis_cell(-1)])
+    minus_halves = FramedSet(1, 1, [line] + [FramedCell(_real_half_line(s), -line.frame)
+                                             for s in (1, -1)])
+    return twice, minus_halves
+
+
 class TestGroup:
+    @pytest.mark.parametrize("y", zero_cycles_of_overlapping_cells(), ids=["twice", "halves"])
+    def test_overlapping_zero_cycle_is_equivalent_to_zero(self, y):
+        assert is_etp(y).ok
+        assert equivalent(zero_etv(1, 1), y) and equivalent(y, zero_etv(1, 1))
+        assert equivalent(zero_etv(1, 2), y) and not equivalent(y, imag_axis_etv())
+
+    def test_line_minus_its_halves_canonicalizes_to_zero(self):
+        assert canonicalize(zero_cycles_of_overlapping_cells()[1]).is_zero()
+
     def test_add_inverse(self):
         p = imag_axis_etv(3)
         s = add(p, negate(p))

@@ -86,6 +86,13 @@ class TestHPoly:
                       ineq=[((F(-1), F(0)), F(-1, 3))]).canonical()
         assert shifted.key == fresh.key
 
+    @pytest.mark.parametrize("vec", [pt(1), pt(1, 0, 0)])
+    def test_translate_needs_one_entry_per_coordinate(self, vec):
+        square = HPoly(2, ineq=UNIT_SQUARE)
+        for p in (square, square.canonical()):
+            with pytest.raises(ValueError, match="coordinates in R\\^2"):
+                p.translate(vec)
+
     def test_smallest_face(self):
         p = square2d().to_hpoly()
         f = p.smallest_face_at(pt(0, F(1, 2)))

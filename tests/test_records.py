@@ -84,3 +84,7 @@ def test_vector_family_rejects_an_empty_set_and_a_zero_vector(sets):
         pickle.loads(pickle.dumps(bad))
     with pytest.raises(ValueError):
         copy.copy(bad)
+    with pytest.raises(ValueError):
+        VectorFamily._make((2, sets))
+    with pytest.raises(ValueError):
+        VectorFamily(*_FAMILY)._replace(sets=sets)

@@ -164,3 +164,20 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          check=True, timeout=120, env=env)
     assert out.stdout.split() == []
+
+
+def test_every_public_method_is_read():
+    """Each public method or property of a library class is read as an
+    attribute, `.name`, somewhere in the library, its tests, the benchmark
+    or the README, so no method that nothing calls stays behind."""
+    methods = [(name, node.name, stmt.name) for name, node in _library_nodes()
+               if isinstance(node, ast.ClassDef) for stmt in node.body
+               if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_")]
+    assert methods
+    loaded = set(re.findall(r"\.(\w+)", (ROOT / "README.md").read_text(encoding="utf-8")))
+    for path in [*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").glob("*.py"),
+                 *(ROOT / "perfbench").glob("*.py")]:
+        loaded.update(node.attr for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                      if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    for name, cls, method in methods:
+        assert method in loaded, f"{name}: {cls}.{method} is never read"
