@@ -8,10 +8,11 @@ subspace, degenerate cells carry zero frames, and the boundary cancels.
 
 Because canonical tangent bases depend only on the direction space of a
 cell, refining or translating cells never changes the reference
-orientation, so frames can be compared and summed directly.  `_sum_cells`
-is the one place they are: it sums the frames of (canonical cell, frame)
-pairs per cell key.  Boundaries sum facet frames, transversal
-intersections sum signed wedges, `canonicalize` sums repeated cells and
+orientation, so frames can be compared and summed directly.  A framed set
+is a chain: `FramedSet` sums the frames of the cells it is given per cell
+key, so it lists each cell once, and every reader sees the sum.  Sums of
+zero stay as zero-framed cells; `canonicalize` drops them.  Boundaries sum
+facet frames, transversal intersections sum signed wedges, `canonicalize`
 sums each merged region into a cell outside it with the same key, and the
 corner locus of a PL function is the boundary of its linearity tiling
 with each cell framed by d^c of the function there.  `_refined_sum` is the
@@ -67,15 +68,22 @@ class FramedSet:
     def __init__(self, n: int, k: int, cells=()):
         self.n = n
         self.k = k
-        self.cells = []
+        sums: dict = {}  # repr of the cell key -> the cell, its frames summed
         for c in cells:
+            if c.poly.ambient != 2 * n:
+                raise ValueError(f"cell in R^{c.poly.ambient} in a framed set of C^{n}")
             poly = c.poly.canonical()
             if poly.is_empty():
                 continue
             if poly.dim != k:
                 raise ValueError(f"cell of dimension {poly.dim} in a {k}-dim framed set")
-            self.cells.append(c if poly is c.poly else FramedCell(poly, c.frame))
-        self.cells.sort(key=lambda c: repr(c.poly.key))
+            key = repr(poly.key)
+            cur = sums.get(key)
+            if cur is None:
+                sums[key] = c if poly is c.poly else FramedCell(poly, c.frame)
+            else:
+                sums[key] = FramedCell(cur.poly, cur.frame + c.frame)
+        self.cells = [sums[key] for key in sorted(sums)]
 
     @property
     def ambient(self) -> int:
@@ -85,6 +93,8 @@ class FramedSet:
         return [c for c in self.cells if not c.frame.is_zero()]
 
     def translated(self, vec) -> "FramedSet":
+        if len(vec) != self.ambient:
+            raise ValueError(f"translation by {len(vec)} coordinates in R^{self.ambient}")
         return FramedSet(self.n, self.k, [c.translated(vec) for c in self.cells])
 
     def scaled(self, t) -> "FramedSet":
@@ -119,26 +129,14 @@ def induced_facet_sign(cell: HPoly, facet: HPoly, ineq) -> int:
     return 1 if det_at([outward, *facet.tangent_basis], pivots) > 0 else -1
 
 
-def _sum_cells(n: int, k: int, pairs) -> FramedSet:
-    """The framed set of (canonical cell, frame) pairs, frames summed per cell.
-
-    Sums of zero stay as zero-framed cells; `canonicalize` drops them.
-    """
-    acc: dict = {}
-    for poly, frame in pairs:
-        cur = acc.get(poly.key)
-        acc[poly.key] = (poly, frame) if cur is None else (cur[0], cur[1] + frame)
-    return FramedSet(n, k, [FramedCell(poly, frame) for poly, frame in acc.values()])
-
-
 def boundary(x: FramedSet) -> FramedSet:
     """Frames of facets summed with outward-first induced orientations."""
     return _boundary(x, {})
 
 
 def _boundary(x: FramedSet, known: dict) -> FramedSet:
-    return _sum_cells(x.n, x.k - 1, (
-        (facet, c.frame if induced_facet_sign(c.poly, facet, ineq) > 0 else -c.frame)
+    return FramedSet(x.n, x.k - 1, (
+        FramedCell(facet, c.frame if induced_facet_sign(c.poly, facet, ineq) > 0 else -c.frame)
         for c in x.support_cells() for facet, ineq in _facets(c.poly, known)))
 
 
@@ -327,20 +325,20 @@ def _region_union(polys, known: dict):
 
 
 def canonicalize(x, validate=True) -> EtvRep:
-    """Sum the frames of repeated cells, drop zero frames, and make each
-    region whose union is convex one cell.
+    """Drop zero frames and make each region whose union is convex one cell.
+    The frames of repeated cells are already summed by `FramedSet`.
 
     A region is a class of support cells joined across free walls: facets
     that exactly two cells own, with equal `eq` and equal frames (a wall
     with a third owner would lie inside the merged cell).  A region merges
     whole or not at all, when its union is convex and face-to-face with
     every cell outside it.  Regions are taken in the order of their first
-    cell; a merged cell goes to the end and the scan restarts, since
-    face-to-face verdicts can change.  Before the restart the merged cell
-    is summed into a cell outside it with the same key, and dropped with
-    that cell when the sum is zero, so no cell is listed twice.  A merged
-    region can equal a cell outside it only when the input overlaps, and a
-    face-to-face complex never does.
+    cell.  After a merge the cells outside the region and the merged cell
+    are summed again as a `FramedSet`, and the scan restarts in its key
+    order, since face-to-face verdicts can change.  So a merged cell is
+    summed into a cell outside it with the same key, and dropped with that
+    cell when the sum is zero; such a twin exists only when the input
+    overlaps, and a face-to-face complex never does.
 
     Lemma: let R be canonical k-cells with one `eq`; a facet of a cell of R
     is a boundary facet when no other cell of R has it.  U = |R| is convex,
@@ -371,7 +369,7 @@ def canonicalize(x, validate=True) -> EtvRep:
         report = _is_etp(x, known)
         if not report.ok:
             raise ValueError(f"not a valid cycle: {report.witness}")
-    cells = _sum_cells(x.n, x.k, ((c.poly, c.frame) for c in x.cells)).support_cells()
+    cells = x.support_cells()
     while True:
         walls = (own for own in _facet_owners(cells, known).values() if len(own) == 2
                  and cells[own[0]].poly.eq == cells[own[1]].poly.eq
@@ -382,12 +380,8 @@ def canonicalize(x, validate=True) -> EtvRep:
             merged = _region_union([cells[i].poly for i in region], known)
             rest = [c for i, c in enumerate(cells) if i not in region]
             if merged is not None and all(face_to_face(merged, o.poly) for o in rest):
-                frame = cells[region[0]].frame
-                twin = next((o for o in rest if o.poly.key == merged.key), None)
-                if twin is not None:
-                    rest.remove(twin)
-                    frame = frame + twin.frame
-                cells = rest if frame.is_zero() else rest + [FramedCell(merged, frame)]
+                merged_cell = FramedCell(merged, cells[region[0]].frame)
+                cells = FramedSet(x.n, x.k, rest + [merged_cell]).support_cells()
                 break
         else:
             return EtvRep(FramedSet(x.n, x.k, cells), _checked=True)
@@ -409,8 +403,8 @@ def _refined_sum(n: int, k: int, xs, ys=()) -> FramedSet:
     xs, ys = list(xs), list(ys)
     px, py, _ = common_refinement(PolyhedralSet(k, 2 * n, [c for c, _ in xs]),
                                   PolyhedralSet(k, 2 * n, [c for c, _ in ys]))
-    return _sum_cells(n, k, [(piece, frame) for parts, pairs in ((px, xs), (py, ys))
-                             for i, (_, frame) in enumerate(pairs) for piece in parts[i]])
+    return FramedSet(n, k, (FramedCell(piece, frame) for parts, pairs in ((px, xs), (py, ys))
+                            for i, (_, frame) in enumerate(pairs) for piece in parts[i]))
 
 
 def equivalent(p, q) -> bool:
@@ -446,7 +440,11 @@ def add(p, q) -> EtvRep:
 
 def scale(t, p) -> EtvRep:
     x = _framed(p)
-    t = Fraction(t) if not isinstance(t, (Fraction, CRat)) else t
+    if isinstance(t, CRat):
+        if t.im != 0:
+            raise ValueError("cycles scale by real factors only")
+        t = t.re
+    t = Fraction(t)
     if t == 0:
         return zero_etv(x.n, x.k)
     if isinstance(p, EtvRep):

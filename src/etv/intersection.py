@@ -25,9 +25,9 @@ from typing import NamedTuple
 
 from .exterior import (Alt, complex_split, density_sign, quotient_density, restrict,
                        wedge)
-from .framed import (EtvRep, FramedCell, FramedSet, _framed, _refined_sum, _sum_cells,
-                     add, canonicalize, cell_sign, is_positive, negate,
-                     split_positive, zero_etv)
+from .framed import (EtvRep, FramedCell, FramedSet, _framed, _refined_sum, add,
+                     canonicalize, cell_sign, is_positive, negate, split_positive,
+                     zero_etv)
 from .linalg import intersect_rowspaces, rank
 from .polyhedra import HPoly
 
@@ -124,12 +124,9 @@ def _framed_meets(xf: FramedSet, yf: FramedSet, meets) -> FramedSet:
         raise ValueError("dimension of the intersection falls below n")
     sign = {id(c): cell_sign(c.frame, c.poly.tangent_basis)
             for c in xf.support_cells() + yf.support_cells()}
-    pairs = []
-    for a, b, inter in meets:
-        if not inter.is_empty() and inter.dim == k_out:
-            target = sign[id(a)] * sign[id(b)]
-            pairs.append((inter, _wedge_frame(a.frame, b.frame, target, inter)))
-    return _sum_cells(n, k_out, pairs)
+    return FramedSet(n, k_out, (
+        FramedCell(inter, _wedge_frame(a.frame, b.frame, sign[id(a)] * sign[id(b)], inter))
+        for a, b, inter in meets if not inter.is_empty() and inter.dim == k_out))
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +201,9 @@ def stable_support(x, y, seed: int = 0) -> list:
     if k_out < 0:
         return []
     candidates: dict = {}
-    for a in xf.support_cells():
-        for b in yf.support_cells():
-            inter = a.poly.intersect(b.poly).canonical()
-            for face in inter.faces(k_out):
-                candidates.setdefault(face.key, face)
+    for _, _, inter in _meets(xf, yf):
+        for face in inter.faces(k_out):
+            candidates.setdefault(face.key, face)
     out = []
     for cand in candidates.values():
         p = cand.relint_point()

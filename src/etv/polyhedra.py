@@ -517,6 +517,8 @@ class VPolytope(NamedTuple):
         return len(self.tangent_basis)
 
     def translate(self, vec) -> "VPolytope":
+        if len(vec) != self.ambient:
+            raise ValueError(f"translation by {len(vec)} coordinates in R^{self.ambient}")
         return VPolytope(vertices=tuple(tuple(a + b for a, b in zip(v, vec))
                                         for v in self.vertices))
 

@@ -1,7 +1,7 @@
 """Reference cycle-group operations that locate frames by points and cones.
 
-These are the constructions that `etv.framed._sum_cells` replaced by one
-sum of frames per canonical cell; the tests compare the two:
+These are the constructions that `etv.framed.FramedSet`, which sums the
+frames of each canonical cell, replaced; the tests compare the two:
 
 - `add`, `equivalent` and `refined_sum` (`add` before merging) look up
   the frame of each refined cell at its relative interior point, first

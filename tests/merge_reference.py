@@ -12,8 +12,7 @@ one union-find; the tests compare the two:
 
 from itertools import combinations
 
-from etv.framed import (EtvRep, FramedCell, FramedSet, _framed, _sum_cells,
-                        is_etp)
+from etv.framed import EtvRep, FramedCell, FramedSet, _framed, is_etp
 from etv.lp import OPTIMAL
 from etv.polyhedra import HPoly, face_to_face
 
@@ -49,7 +48,11 @@ def canonicalize(x, validate=True) -> EtvRep:
         return x
     if validate and not is_etp(x).ok:
         raise ValueError("not a valid cycle")
-    cells = _sum_cells(x.n, x.k, ((c.poly, c.frame) for c in x.cells)).support_cells()
+    sums: dict = {}  # cell key -> (cell, summed frame)
+    for c in x.cells:
+        cur = sums.get(c.poly.key)
+        sums[c.poly.key] = (c.poly, c.frame) if cur is None else (cur[0], cur[1] + c.frame)
+    cells = [FramedCell(poly, frame) for poly, frame in sums.values() if not frame.is_zero()]
     while True:
         for i, j in combinations(range(len(cells)), 2):
             rest = [c for t, c in enumerate(cells) if t not in (i, j)]

@@ -7,17 +7,23 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cycle_reference as ref
 import linearity_reference
 import etv.framed as framed
 import etv.intersection as intersection
+from conftest import corpus_n1, corpus_n2
 from etv import jsonio
+from etv.cli import main
 from etv.dualfan import dual_fan_etp, valid_k_range
-from etv.framed import (FramedSet, add, canonicalize, equivalent, is_etp, negate, scale,
-                        translate)
+from etv.exterior import Alt
+from etv.framed import (FramedCell, FramedSet, add, canonicalize, equivalent,
+                        irreducible_components, is_etp, is_positive, negate, scale,
+                        split_positive, translate, unit_positive_frame)
 from etv.intersection import bergman_fan
-from etv.monge import (AffineFunc, PLFunction, affine_zero, corner_locus,
+from etv.monge import (AffineFunc, PLFunction, affine_zero, corner_locus, dc_weighted,
                        linearity_complex)
 from etv.polyhedra import HPoly
 from etv.scalars import CRat
@@ -117,6 +123,84 @@ def test_a_cell_listed_twice_counts_twice(polytope_corpus):
     assert equivalent(twice, scale(2, fan))
     assert equivalent(add(twice, fan), scale(3, fan))
     assert equivalent(canonicalize(twice), scale(2, fan))
+
+
+def _real_line(*factors):
+    """The real line of C, listed once per factor, framed by that multiple
+    of its positive frame."""
+    line = HPoly(2, eq=[((F(0), F(1)), F(0))]).canonical()
+    omega = unit_positive_frame(line.tangent_basis, 1)
+    return [FramedCell(line, omega.scale(t)) for t in factors]
+
+
+def test_a_chain_with_nonreal_frames_on_a_repeated_cell():
+    """(1+i)w and (1-i)w on the same line are the chain 2w."""
+    twice = FramedSet(1, 1, _real_line(CRat(1, 1), CRat(1, -1)))
+    assert is_etp(twice).ok
+    assert twice.cells == _real_line(2)
+    assert equivalent(canonicalize(twice), FramedSet(1, 1, _real_line(2)))
+
+
+def test_cli_reads_a_repeated_cell_as_the_sum(capsys, tmp_path):
+    def write(name, cells):
+        obj = {"n": 1, "k": 1, "cells": [entry for c in cells for entry in
+                                          jsonio.framedset_to_json(FramedSet(1, 1, [c]))["cells"]]}
+        path = tmp_path / name
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    twice = write("twice.json", _real_line(CRat(1, 1), CRat(1, -1)))
+    assert main(["validate-etp", twice]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    assert main(["equivalent", twice, write("double.json", _real_line(2))]) == 0
+    assert json.loads(capsys.readouterr().out)["equivalent"] is True
+
+
+def test_positivity_reads_the_summed_frame():
+    x = FramedSet(1, 1, _real_line(2, -1))
+    assert is_positive(x)
+    assert split_positive(x)[1].is_zero()
+
+
+def test_a_repeated_cell_is_one_component():
+    components = irreducible_components(FramedSet(1, 1, _real_line(1, 1)))
+    assert [c.cells() for c in components] == [_real_line(2)]
+
+
+def test_weighted_boundary_of_a_cancelled_plane():
+    """The plane listed with frames 1 and -1 is the zero chain, on which
+    max(0, Re z) is affine wherever it is supported."""
+    plane = HPoly(2).canonical()
+    x = FramedSet(1, 2, [FramedCell(plane, Alt(0, {(): CRat(t)})) for t in (1, -1)])
+    h = PLFunction.convex(1, [affine_zero(1), AffineFunc((CRat(1),), F(0))])
+    assert dc_weighted(h, x).is_zero()
+
+
+_CORPUS_FANS: dict = {}
+
+
+def _corpus_fan(index):
+    grades = [(name, gamma, k) for name, gamma in corpus_n1() + corpus_n2()
+              for k in valid_k_range(gamma)]
+    name, gamma, k = grades[index % len(grades)]
+    if (name, k) not in _CORPUS_FANS:
+        _CORPUS_FANS[name, k] = dual_fan_etp(gamma, k).framed_rep()
+    return _CORPUS_FANS[name, k]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_split_and_shuffled_frames_sum_back(data):
+    """Each frame of a corpus fan split into random rational parts, listed in
+    a random order, is the same framed set."""
+    fan = _corpus_fan(data.draw(st.integers(0, 10 ** 6)))
+    parts = []
+    for c in fan.cells:
+        shares = data.draw(st.lists(st.fractions(-3, 3, max_denominator=4), max_size=2))
+        for t in shares + [1 - sum(shares, F(0))]:
+            parts.append(FramedCell(c.poly, c.frame.scale(t)))
+    shuffled = FramedSet(fan.n, fan.k, data.draw(st.permutations(parts)))
+    assert shuffled.cells == fan.cells
 
 
 def _refuse(*args):

@@ -182,6 +182,24 @@ class TestGroup:
         q = translate(p, (F(1), F(0)))
         assert not equivalent(p, q)
 
+    @pytest.mark.parametrize("vec", [(F(1),), (F(1), F(0), F(0))])
+    def test_translate_needs_one_entry_per_coordinate(self, vec):
+        for p in (zero_etv(1, 1), imag_axis_etv(), FramedSet(1, 1, [])):
+            with pytest.raises(ValueError, match="coordinates in R\\^2"):
+                translate(p, vec)
+
+    def test_scale_by_a_nonreal_factor_raises(self, polytope_corpus):
+        fan = dual_fan_etp(dict(polytope_corpus)["seg-e1"], 3).result
+        with pytest.raises(ValueError, match="real factors"):
+            scale(CRat(0, 1), fan)
+        assert equivalent(scale(CRat(2), fan), scale(2, fan))
+        assert is_etp(scale(CRat(F(1, 2)), fan).framed).ok
+
+    def test_cell_of_another_ambient_raises(self):
+        half_space = HPoly(4, ineq=[((F(1), F(0), F(0), F(0)), F(0))])
+        with pytest.raises(ValueError, match="R\\^4 in a framed set of C\\^1"):
+            FramedSet(1, 4, [FramedCell(half_space, Alt(0, {(): CRat(1)}))])
+
 
 def _square_fan():
     square = VPolytope.from_points([(F(0), F(0)), (F(1), F(0)),
@@ -206,7 +224,7 @@ class TestCanonicalInputNotRemerged:
         fan = _square_fan()
         assert len(fan.cells()) == 4
         vec = (F(1, 2), F(-3))
-        t = CRat(2, -1)
+        t = CRat(-2)
         old = [canonicalize(fan.framed.translated(vec), validate=False),
                canonicalize(fan.framed.scaled(t), validate=False),
                canonicalize(fan.framed.scaled(F(-1)), validate=False)]

@@ -89,7 +89,8 @@ class TestHPoly:
     @pytest.mark.parametrize("vec", [pt(1), pt(1, 0, 0)])
     def test_translate_needs_one_entry_per_coordinate(self, vec):
         square = HPoly(2, ineq=UNIT_SQUARE)
-        for p in (square, square.canonical()):
+        segment = VPolytope.from_points([pt(0, 0), pt(1, 0)])
+        for p in (square, square.canonical(), segment):
             with pytest.raises(ValueError, match="coordinates in R\\^2"):
                 p.translate(vec)
 
