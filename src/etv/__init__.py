@@ -7,7 +7,7 @@ criterion with constructive witnesses.  Everything runs over exact
 rationals; there is no floating point anywhere.
 """
 
-from .scalars import CRat, Rat, rat, rat_str
+from .scalars import CRat, rat_str
 from .exterior import (Alt, OddForm, apply_J, dc_affine, dc_ccov,
                        max_complex_subspace, quotient_pushforward, restrict,
                        restrict_rform, rho, wedge)

@@ -21,7 +21,7 @@ import sys
 from . import jsonio
 from .degeneracy import _find_witness, mixed_volume_zero_criterion
 from .dualfan import dual_fan_etp
-from .framed import (_framed, add, boundary, canonicalize, equivalent,
+from .framed import (_check_cycle, _framed, add, boundary, canonicalize, equivalent,
                      evaluate_current, is_etp)
 from .intersection import bergman_fan, product, stable_support
 from .jsonio import ParseError
@@ -170,7 +170,9 @@ def _cmd_corner_locus(args):
 
 def _cmd_dc(args):
     h = jsonio.plfunction_from_json(_load(args.function))
-    return _framed_result(dc_weighted(h, _load_framed(args.cycle)))
+    x = _load_framed(args.cycle)
+    _check_cycle(x, {})  # not merged: h is affine on the cells as given
+    return _framed_result(dc_weighted(h, x))
 
 
 def _cmd_mixed_ma(args):

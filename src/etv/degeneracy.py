@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
-from .exterior import complex_annihilator, real_covector_to_ccov
+from .exterior import _complex_pairing, complex_annihilator, real_covector_to_ccov
 from .framed import EtvRep
 from .linalg import EchelonBasis, kernel_basis, rref
 from .monge import AffineFunc, PLFunction, _real_ambient, linearity_complex
@@ -219,13 +219,6 @@ class HDegeneracyCertificate(NamedTuple):
     correctors: tuple   # AffineFunc per subset member
 
 
-def _pairing_c(z, w) -> CRat:
-    total = CRat(0)
-    for a, b in zip(z, w):
-        total = total + a * b
-    return total
-
-
 def validate_h_certificate(cert: HDegeneracyCertificate, funcs) -> bool:
     """Corrected functions must have all piece differentials constant along H."""
     if not cert.h_basis:
@@ -236,9 +229,14 @@ def validate_h_certificate(cert: HDegeneracyCertificate, funcs) -> bool:
         for piece in h.plus:
             diff = tuple(a - b for a, b in zip(piece.w, base))
             for hv in cert.h_basis:
-                if not _pairing_c(hv, diff).is_zero():
+                if not _complex_pairing(hv, diff).is_zero():
                     return False
     return True
+
+
+def _corrector(h: PLFunction) -> AffineFunc:
+    """The negated first plus functional of h, which its certificate adds."""
+    return AffineFunc(tuple(-c for c in h.plus[0].w), -h.plus[0].c)
 
 
 def ma_zero_criterion(*funcs: PLFunction):
@@ -268,21 +266,16 @@ def ma_zero_criterion(*funcs: PLFunction):
             # affine function: its factor vanishes outright
             cert = HDegeneracyCertificate(
                 subset=(idx,), h_basis=tuple(complex_annihilator((), n)),
-                correctors=(AffineFunc(tuple(-c for c in h.plus[0].w),
-                                       -h.plus[0].c),))
+                correctors=(_corrector(h),))
             return True, cert
         sets.append(tuple(dict.fromkeys(_normalize_line(real_covector_to_ccov(a))
                                         for lc in tiling for a, _ in lc.poly.ineq)))
     witness = _find_witness(VectorFamily(n=n, sets=tuple(sets)))
     if witness is not None:
         h_basis = complex_annihilator(witness.subspace_basis, n)
-        correctors = []
-        for i in witness.set_indices:
-            base = funcs[i].plus[0]
-            correctors.append(AffineFunc(tuple(-c for c in base.w), -base.c))
-        cert = HDegeneracyCertificate(subset=witness.set_indices,
-                                      h_basis=tuple(h_basis),
-                                      correctors=tuple(correctors))
+        cert = HDegeneracyCertificate(
+            subset=witness.set_indices, h_basis=tuple(h_basis),
+            correctors=tuple(_corrector(funcs[i]) for i in witness.set_indices))
         if not validate_h_certificate(cert, funcs):
             raise AssertionError("descent certificate failed validation")
         return True, cert

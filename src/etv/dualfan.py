@@ -135,33 +135,28 @@ def pascal_check(gamma: VPolytope, m: int) -> bool:
 def volume_recursion_check(gamma: VPolytope, m: int) -> bool:
     """rho(p) of every (m+1)-face equals the cone recursion over its m-faces,
     for two independent choices of the base points."""
-    if m + 1 > gamma.dim:
-        raise ValueError("no faces of dimension m+1")
-    for face in gamma.faces(m + 1):
-        lhs = rho(volume_multivector(face, list(face.tangent_basis)))
-        for choice in (0, 1):
-            total = Alt(m + 1)
-            for sub, sign in _oriented_facets(face):
-                w = sub.vertices[choice % len(sub.vertices)]
-                p_sub = rho(volume_multivector(sub, list(sub.tangent_basis))).scale(sign)
-                w_vec = rho(Alt(1, {(i,): x for i, x in enumerate(w) if x != 0}))
-                total = total + wedge(w_vec, p_sub)
-            if total.scale(CRat(Fraction(1, m + 1))) != lhs:
-                return False
-    return True
+    return _volume_recursion(gamma, m, rho, (0, 1))
 
 
 def real_volume_recursion_check(gamma: VPolytope, m: int) -> bool:
     """The real multivector recursion, prior to complexification."""
+    return _volume_recursion(gamma, m, lambda mv: mv, (0,))
+
+
+def _volume_recursion(gamma: VPolytope, m: int, lift, choices) -> bool:
+    """lift(p) of every (m+1)-face is the cone recursion over its m-faces,
+    lifted by `lift`, for each choice of base point (a vertex index)."""
     if m + 1 > gamma.dim:
         raise ValueError("no faces of dimension m+1")
     for face in gamma.faces(m + 1):
-        lhs = volume_multivector(face, list(face.tangent_basis))
-        total = Alt(m + 1)
-        for sub, sign in _oriented_facets(face):
-            p_sub = volume_multivector(sub, list(sub.tangent_basis)).scale(sign)
-            w_vec = Alt(1, {(i,): x for i, x in enumerate(sub.vertices[0]) if x != 0})
-            total = total + wedge(w_vec, p_sub)
-        if total.scale(Fraction(1, m + 1)) != lhs:
-            return False
+        lhs = lift(volume_multivector(face, list(face.tangent_basis)))
+        for choice in choices:
+            total = Alt(m + 1)
+            for sub, sign in _oriented_facets(face):
+                w = sub.vertices[choice % len(sub.vertices)]
+                p_sub = lift(volume_multivector(sub, list(sub.tangent_basis))).scale(sign)
+                w_vec = lift(Alt(1, {(i,): x for i, x in enumerate(w) if x != 0}))
+                total = total + wedge(w_vec, p_sub)
+            if total.scale(Fraction(1, m + 1)) != lhs:
+                return False
     return True

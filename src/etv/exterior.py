@@ -170,9 +170,13 @@ def complexify(v: RVec) -> CCov:
 
 def pairing(z: RVec, w: RVec) -> CRat:
     """Complex bilinear pairing sum z_j w_j of two real-coordinate vectors."""
-    zc, wc = complexify(z), complexify(w)
+    return _complex_pairing(complexify(z), complexify(w))
+
+
+def _complex_pairing(z: CCov, w: CCov) -> CRat:
+    """sum z_j w_j of two vectors of complex coordinates."""
     total = CRat(0)
-    for a, b in zip(zc, wc):
+    for a, b in zip(z, w):
         total = total + a * b
     return total
 
@@ -258,53 +262,36 @@ def evaluate_cform(form: Alt, vectors) -> CRat:
     return total
 
 
+def _pullback(form: Alt, basis, evaluate) -> Alt:
+    """A form in the coordinates of a basis: its values, by `evaluate`, on
+    the m-subsets of the basis."""
+    return Alt(form.degree, {key: evaluate(form, [basis[i] for i in key])
+                             for key in combinations(range(len(basis)), form.degree)})
+
+
 def restrict(form: Alt, basis) -> tuple[Alt, bool]:
     """Pullback of a complex form to the span of a real basis.
 
     Returns the form in basis coordinates (CRat values) and a flag telling
     whether every coefficient is real.
     """
-    m = form.degree
-    d = len(basis)
-    terms = {}
-    all_real = True
-    if m > d:
-        return Alt(m), True
-    for key in combinations(range(d), m):
-        val = evaluate_cform(form, [basis[i] for i in key])
-        if not val.is_zero():
-            terms[key] = val
-            if val.im != 0:
-                all_real = False
-    return Alt(m, terms), all_real
+    pulled = _pullback(form, basis, evaluate_cform)
+    return pulled, all(v.im == 0 for v in pulled.terms.values())
 
 
 def evaluate_rform(form: Alt, vectors):
     """Value of a real m-form on m real vectors (no complexification)."""
     if form.degree != len(vectors):
         raise ValueError("argument count does not match form degree")
-    total = None
+    total = Fraction(0)
     for key, val in form.terms.items():
-        minor = [[v[i] for i in key] for v in vectors]
-        term = val * det(minor)
-        total = term if total is None else total + term
-    if total is None:
-        return Fraction(0)
+        total += val * det([[v[i] for i in key] for v in vectors])
     return total
 
 
 def restrict_rform(form: Alt, basis) -> Alt:
     """Classical pullback of a real form to the span of a real basis."""
-    m = form.degree
-    d = len(basis)
-    if m > d:
-        return Alt(m)
-    terms = {}
-    for key in combinations(range(d), m):
-        val = evaluate_rform(form, [basis[i] for i in key])
-        if val != 0:
-            terms[key] = val
-    return Alt(m, terms)
+    return _pullback(form, basis, evaluate_rform)
 
 
 # ---------------------------------------------------------------------------

@@ -38,9 +38,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
-from .exterior import (Alt, ccov_form, complex_annihilator, complex_split,
-                       complexify, density_sign, evaluate_cform, frame_on_split,
-                       quotient_density, wedge_all)
+from .exterior import (Alt, _merge_keys, ccov_form, complex_annihilator,
+                       complex_split, complexify, density_sign, evaluate_cform,
+                       frame_on_split, quotient_density, wedge_all)
 from .linalg import basis_change_sign, det, det_at
 from .lp import OPTIMAL
 from .polyhedra import (HPoly, PolyhedralSet, _built_canonical, common_refinement,
@@ -152,27 +152,49 @@ class ValidityReport(NamedTuple):
     witness: str | None = None
 
 
+def _cell_name(poly: HPoly) -> str:
+    """A cell as its canonical rows in the coordinates (x1, y1, ..., xn, yn) of
+    C^n, such as `{x1 = 0, -y1 <= 0}`: cells are kept in key order, not input order."""
+    names = [f"{'xy'[j % 2]}{j // 2 + 1}" for j in range(poly.ambient)]
+
+    def side(a):
+        terms = (v if c == 1 else f"-{v}" if c == -1 else f"{c}*{v}"
+                 for c, v in zip(a, names) if c)
+        return " + ".join(terms).replace("+ -", "- ")
+    return "{" + ", ".join([f"{side(a)} = {b}" for a, b in poly.eq]
+                           + [f"{side(a)} <= {b}" for a, b in poly.ineq]) + "}"
+
+
 def is_etp(x: FramedSet) -> ValidityReport:
     """Check the cycle conditions; the witness names the first failure."""
     return _is_etp(x, {})
+
+
+def _check_cycle(x: FramedSet, known: dict):
+    """Raise ValueError, naming the first failure, unless x is a cycle."""
+    report = _is_etp(x, known)
+    if not report.ok:
+        raise ValueError(f"not a valid cycle: {report.witness}")
 
 
 def _is_etp(x: FramedSet, known: dict) -> ValidityReport:
     if x.k < x.n:
         raise ValueError("dimension below n cannot carry a cycle structure")
     deg = 2 * x.n - x.k
-    for i, c in enumerate(x.cells):
+    for c in x.cells:
         if c.frame.is_zero():
             continue
         if c.frame.degree != deg:
-            return ValidityReport(False, f"cell {i}: frame degree {c.frame.degree} != {deg}")
-        split = complex_split(c.poly.tangent_basis)
-        if split.degenerate:
-            return ValidityReport(False, f"cell {i}: degenerate cell with nonzero frame")
+            fault = f"frame degree {c.frame.degree} != {deg}"
+        elif (split := complex_split(c.poly.tangent_basis)).degenerate:
+            fault = "degenerate cell with nonzero frame"
         # a complex-linear form that is real on E is zero on C_E, so realness
         # covers the kill check
-        if not frame_on_split(c.frame, split)[0]:
-            return ValidityReport(False, f"cell {i}: restriction not real-valued")
+        elif not frame_on_split(c.frame, split)[0]:
+            fault = "restriction not real-valued"
+        else:
+            continue
+        return ValidityReport(False, f"cell {_cell_name(c.poly)}: {fault}")
     bd = _boundary(x, known)
     for c in bd.cells:
         if not c.frame.is_zero():
@@ -366,9 +388,7 @@ def canonicalize(x, validate=True) -> EtvRep:
         return x
     known: dict = {}  # cell key -> its facets, across validation and the restarts
     if validate:
-        report = _is_etp(x, known)
-        if not report.ok:
-            raise ValueError(f"not a valid cycle: {report.witness}")
+        _check_cycle(x, known)
     cells = x.support_cells()
     while True:
         walls = (own for own in _facet_owners(cells, known).values() if len(own) == 2
@@ -524,7 +544,6 @@ def constant_test_form(window, degree=0, indices=(), value=Fraction(1)) -> TestF
 
 
 def exterior_derivative(tf: TestForm) -> TestForm:
-    from .exterior import _merge_keys
     nv = tf.nvars()
     acc: dict = {}
     for key, poly in tf.terms:
@@ -545,22 +564,9 @@ def exterior_derivative(tf: TestForm) -> TestForm:
 def window_poly(ambient: int, window) -> HPoly:
     ineq = []
     for i, (lo, hi) in enumerate(window):
-        row = [_ZERO] * ambient
-        row[i] = _ONE
-        ineq.append((tuple(row), hi))
-        row = [_ZERO] * ambient
-        row[i] = -_ONE
-        ineq.append((tuple(row), -lo))
+        for one, rhs in ((_ONE, hi), (-_ONE, -lo)):
+            ineq.append((tuple(one if j == i else _ZERO for j in range(ambient)), rhs))
     return HPoly(ambient, (), ineq).canonical()
-
-
-def _shuffle_sign(s_tuple, t_tuple):
-    inv = 0
-    for a in s_tuple:
-        for b in t_tuple:
-            if b < a:
-                inv += 1
-    return -1 if inv % 2 else 1
 
 
 def evaluate_current(p, tf: TestForm) -> Fraction:
@@ -590,7 +596,7 @@ def evaluate_current(p, tf: TestForm) -> Fraction:
                     raise ValueError("frame restriction not real on a cell")
                 if fval.re == 0:
                     continue
-                shuffle = _shuffle_sign(s_tup, t_tup)
+                shuffle = _merge_keys(s_tup, t_tup)[1]
                 phi_poly = Poly.const(x.k, 0)
                 for key, coeff in tf.terms:
                     if len(key) != tf.degree:

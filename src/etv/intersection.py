@@ -152,14 +152,10 @@ def generic_shift(x, y, seed: int = 0, budget: int = _SHIFT_BUDGET) -> ShiftCert
 
 def _shift_search(xf: FramedSet, yf: FramedSet, seed: int, budget: int):
     """(certificate, yf shifted by it, their `_meets`) of `generic_shift`."""
-    ambient = xf.ambient
-    meets = _transversal_meets(xf, yf)
-    if meets is not None:
-        return ShiftCertificate(tuple([_ZERO] * ambient), 0, True), yf, meets
-    for tries in range(1, budget + 1):
-        t = Fraction(seed + tries)
-        z = tuple(t ** i for i in range(1, ambient + 1))
-        shifted = yf.translated(z)
+    for tries in range(budget + 1):
+        t = Fraction(seed + tries) if tries else _ZERO  # try 0 is the zero shift
+        z = tuple(t ** i for i in range(1, xf.ambient + 1))
+        shifted = yf.translated(z) if tries else yf
         meets = _transversal_meets(xf, shifted)
         if meets is not None:
             return ShiftCertificate(z, tries, True), shifted, meets
@@ -236,9 +232,9 @@ def stable_intersection(x, y, seed: int = 0, force_stable: bool = False) -> EtvR
         return zero_etv(n, n)
     meets = None if force_stable else _transversal_meets(p.framed, q.framed)
     if meets is not None:
-        return canonicalize(_framed_meets(p.framed, q.framed, meets))
+        return canonicalize(_framed_meets(p.framed, q.framed, meets), validate=False)
     cells = [FramedCell(s.cell, s.frame) for s in stable_support(p, q, seed)]
-    return canonicalize(FramedSet(n, k_out, cells))
+    return canonicalize(FramedSet(n, k_out, cells), validate=False)
 
 
 def product(x, y, seed: int = 0) -> EtvRep:
@@ -285,4 +281,5 @@ def bergman_fan(x) -> EtvRep:
     hyperplanes of lower-dimensional cones would only over-cut."""
     p = canonicalize(x)
     cones = [(c.poly.recession_cone(), c.frame) for c in p.framed.support_cells()]
-    return canonicalize(_refined_sum(p.n, p.k, [(rc, f) for rc, f in cones if rc.dim == p.k]))
+    return canonicalize(_refined_sum(p.n, p.k, [(rc, f) for rc, f in cones if rc.dim == p.k]),
+                        validate=False)

@@ -43,7 +43,6 @@ from .exterior import ccov_form, ccov_to_real_covector, complexify, dc_ccov, wed
 from .framed import (EtvRep, FramedCell, FramedSet, _framed, boundary,
                      canonicalize, cell_weight, equivalent, translate, zero_etv)
 from .intersection import product_many
-from .linalg import rref
 from .polyhedra import (HPoly, VPolytope, _built_canonical, _chart, _dual_n, _faces_below,
                         _hull_facets, _prim_ineq, volume)
 from .scalars import CRat
@@ -175,8 +174,9 @@ def support_function(gamma: VPolytope) -> PLFunction:
 def dc_weighted(h: PLFunction, x) -> EtvRep:
     """Boundary of the cycle reframed by d^c of the cellwise affine extension.
 
-    Requires h to be affine on every support cell; the result has cycle
-    dimension one less and depends only on the class of the input.  A cell
+    Requires a cycle, not checked here, with h affine on every support cell;
+    the result is a cycle by theorem, not checked either, of cycle
+    dimension one less, and depends only on the class of the input.  A cell
     takes the differential of the first tiling region that contains its
     relative interior point p, then the cell (one LP per region row).  One
     does exactly when both maxima are affine on the cell: then a functional
@@ -202,7 +202,7 @@ def dc_weighted(h: PLFunction, x) -> EtvRep:
         dc_form = ccov_form(dc_ccov(region.differential()))
         cells.append(FramedCell(c.poly, wedge(dc_form, c.frame)))
     weighted = FramedSet(n, framed.k, cells)
-    return canonicalize(boundary(weighted))
+    return canonicalize(boundary(weighted), validate=False)
 
 
 def mixed_ma(*funcs: PLFunction, seed: int = 0) -> EtvRep:
@@ -257,15 +257,10 @@ def mixed_volume_via_ma(*bodies: VPolytope, seed: int = 0) -> Fraction:
     result = mixed_ma(*[support_function(b) for b in bodies], seed=seed)
     if result.is_zero():
         return _ZERO
-    imag_basis = []
-    for j in range(n):
-        e = [_ZERO] * (2 * n)
-        e[2 * j + 1] = _ONE
-        imag_basis.append(tuple(e))
-    imag_basis = tuple(rref(imag_basis)[0])
+    imag_basis = _imaginary_units(n)
     total = _ZERO
     for c in result.cells():
-        if tuple(c.poly.tangent_basis) != imag_basis:
+        if c.poly.tangent_basis != imag_basis:
             raise ValueError("mixed product not supported on imaginary translates")
         total += cell_weight(c.frame, c.poly.tangent_basis)
     return total / factorial(n)
@@ -307,10 +302,10 @@ def is_r_generated(p) -> bool:
     rep = canonicalize(p)
     if rep.is_zero():
         return True
-    n = rep.n
-    for j in range(n):
-        e = [_ZERO] * (2 * n)
-        e[2 * j + 1] = _ONE
-        if not equivalent(translate(rep, tuple(e)), rep):
-            return False
-    return True
+    return all(equivalent(translate(rep, e), rep) for e in _imaginary_units(rep.n))
+
+
+def _imaginary_units(n: int) -> tuple:
+    """e_{y1}, ..., e_{yn} in rref: the tangent basis of the imaginary plane of C^n."""
+    return tuple(tuple(_ONE if i == 2 * j + 1 else _ZERO for i in range(2 * n))
+                 for j in range(n))

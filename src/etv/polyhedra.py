@@ -102,7 +102,7 @@ class HPoly:
     """Rational H-polyhedron {z : eq. z = rhs, ineq . z <= rhs}."""
 
     __slots__ = ("ambient", "eq", "ineq", "_canonical", "_empty", "_tangent",
-                 "_relint", "_key")
+                 "_relint")
 
     def __init__(self, ambient: int, eq=(), ineq=(), _canonical=False):
         self.ambient = ambient
@@ -112,7 +112,6 @@ class HPoly:
         self._empty = None
         self._tangent = None
         self._relint = None
-        self._key = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -157,10 +156,7 @@ class HPoly:
             if _holds_at_origin(self.eq, self.ineq):
                 self._empty = False
             else:
-                res = solve_lp([_ZERO] * self.ambient,
-                               [list(a) for a, _ in self.ineq], [b for _, b in self.ineq],
-                               [list(a) for a, _ in self.eq], [b for _, b in self.eq])
-                self._empty = res.status != OPTIMAL
+                self._empty = self.minimize([_ZERO] * self.ambient).status != OPTIMAL
         return self._empty
 
     def _optimize(self, coeffs, maximize):
@@ -218,14 +214,9 @@ class HPoly:
 
     @property
     def key(self):
-        if self._key is None:
-            if not self._canonical:
-                raise ValueError("key of non-canonical polyhedron")
-            if self._empty:
-                self._key = ("empty", self.ambient)
-            else:
-                self._key = (self.eq, self.ineq)
-        return self._key
+        if not self._canonical:
+            raise ValueError("key of non-canonical polyhedron")
+        return ("empty", self.ambient) if self._empty else (self.eq, self.ineq)
 
     # -- geometry --------------------------------------------------------------
 

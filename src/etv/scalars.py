@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rat = Fraction
-
 _SMALL = {k: Fraction(k) for k in range(-16, 17)}
 _GAUSSIAN: dict = {}  # a*33 + b -> CRat(a, b) for |a|, |b| <= 16, filled on first use
 
@@ -27,17 +25,6 @@ def _fraction(num: int, den: int = 1) -> Fraction:
     if m:
         return Fraction(num, den)
     return _SMALL[q] if -16 <= q <= 16 else Fraction(q)
-
-
-def rat(x) -> Fraction:
-    """Coerce ints, strings like ``"3/4"``, and Fractions to Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"cannot build exact rational from {type(x).__name__}")
 
 
 def rat_str(x: Fraction) -> str:

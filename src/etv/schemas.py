@@ -58,17 +58,15 @@ FRAMED_SET = {"type": "object",
                                       "required": ["geom", "frame"]}}},
               "required": ["n", "k", "cells"]}
 
+_AFFINE = {"type": "object",
+           "properties": {"w": CVECTOR, "c": RATIONAL},
+           "required": ["w", "c"]}
+
 PLFUNCTION = {"type": "object",
               "properties": {
                   "n": {"type": "integer", "minimum": 1},
-                  "plus": {"type": "array",
-                           "items": {"type": "object",
-                                     "properties": {"w": CVECTOR, "c": RATIONAL},
-                                     "required": ["w", "c"]}},
-                  "minus": {"type": "array",
-                            "items": {"type": "object",
-                                      "properties": {"w": CVECTOR, "c": RATIONAL},
-                                      "required": ["w", "c"]}}},
+                  "plus": {"type": "array", "items": _AFFINE},
+                  "minus": {"type": "array", "items": _AFFINE}},
               "required": ["n", "plus"]}
 
 TEST_FORM = {"type": "object",

@@ -16,7 +16,7 @@ from itertools import combinations
 
 from etv.exterior import (Alt, Pushforward, apply_J, evaluate_cform,
                           quotient_pushforward, restrict)
-from etv.framed import ValidityReport, boundary, induced_facet_sign
+from etv.framed import ValidityReport, _cell_name, boundary, induced_facet_sign
 from etv.linalg import det, intersect_rowspaces, kernel_basis, rank, rref, solve
 from etv.polyhedra import VPolytope
 from etv.scalars import CRat
@@ -191,19 +191,20 @@ def is_etp(x) -> ValidityReport:
     if x.k < x.n:
         raise ValueError("dimension below n cannot carry a cycle structure")
     deg = 2 * x.n - x.k
-    for i, c in enumerate(x.cells):
+    for c in x.cells:
         if c.frame.is_zero():
             continue
+        name = _cell_name(c.poly)
         if c.frame.degree != deg:
-            return ValidityReport(False, f"cell {i}: frame degree {c.frame.degree} != {deg}")
+            return ValidityReport(False, f"cell {name}: frame degree {c.frame.degree} != {deg}")
         basis = c.poly.tangent_basis
         if max_complex_subspace(list(basis))[1]:
-            return ValidityReport(False, f"cell {i}: degenerate cell with nonzero frame")
+            return ValidityReport(False, f"cell {name}: degenerate cell with nonzero frame")
         if not restrict(c.frame, list(basis))[1]:
-            return ValidityReport(False, f"cell {i}: restriction not real-valued")
+            return ValidityReport(False, f"cell {name}: restriction not real-valued")
         if not pushforward(c.frame, basis).kills_complex:
             return ValidityReport(False,
-                                  f"cell {i}: frame does not vanish on the complex subspace")
+                                  f"cell {name}: frame does not vanish on the complex subspace")
     if boundary(x).support_cells():
         return ValidityReport(False, "boundary support nonempty")
     return ValidityReport(True)

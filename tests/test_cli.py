@@ -6,7 +6,7 @@ import pytest
 from etv import cli, jsonio
 from etv.cli import main
 from etv.dualfan import DualFanEtp, dual_fan_etp, pascal_check, valid_k_range
-from etv.framed import canonicalize, equivalent
+from etv.framed import canonicalize, equivalent, is_etp
 from etv.monge import (PLFunction, affine_zero, AffineFunc, corner_locus,
                        mixed_volume_via_ma, support_function)
 from etv.polyhedra import HPoly, VPolytope
@@ -136,6 +136,33 @@ class TestCommands:
         path = write(tmp_path, "bad.json", bad)
         code, out = run(capsys, "validate-etp", path)
         assert code == 1 and out["ok"] is False and out["witness"]
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["valid-first", "invalid-first"])
+    def test_validate_etp_names_the_failing_cell(self, capsys, tmp_path, order):
+        """The imaginary axis framed by -i dz is valid; the real line y = 0
+        framed by i dz is not, and the witness names it in either file order."""
+        def line(coeffs, im):
+            return {"geom": {"ambient": 2, "eq": [{"coeffs": coeffs, "const": "0"}]},
+                    "frame": {"form": {"degree": 1, "terms": [
+                        {"indices": [0], "value": {"re": "0", "im": im}}]}}}
+        obj = {"n": 1, "k": 1, "cells": [line(["1", "0"], "-1"), line(["0", "1"], "1")][::order]}
+        witness = "cell {y1 = 0}: restriction not real-valued"
+        assert is_etp(jsonio.framedset_from_json(obj)).witness == witness
+        code, out = run(capsys, "validate-etp", write(tmp_path, "x.json", obj))
+        assert code == 1 and out["witness"] == witness
+
+    def test_dc_checks_its_cycle(self, capsys, tmp_path):
+        """The plane of C^1 framed by i is no cycle.  d^c of an affine h is
+        zero, so its weighted boundary is zero, and only a check of the
+        input sees the fault."""
+        term = {"indices": [], "value": {"re": "0", "im": "1"}}
+        plane = {"n": 1, "k": 2, "cells": [
+            {"geom": {"ambient": 2}, "frame": {"form": {"degree": 0, "terms": [term]}}}]}
+        h = {"n": 1, "plus": [{"w": ["0"], "c": "0"}]}
+        code, out = run(capsys, "dc", write(tmp_path, "h.json", h),
+                        write(tmp_path, "x.json", plane))
+        assert code == 1
+        assert out["error"] == "not a valid cycle: cell {}: restriction not real-valued"
 
     def test_parse_error_exit_code(self, capsys, tmp_path):
         p = tmp_path / "garbage.json"

@@ -1,10 +1,11 @@
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etv.exterior import (Alt, OddForm, apply_J, ccov_to_real_covector,
+from etv.exterior import (Alt, OddForm, _merge_keys, apply_J, ccov_to_real_covector,
                           complexify, dc_affine, dc_ccov, evaluate_cform,
                           max_complex_subspace, pairing, quotient_pushforward,
                           real_covector_to_ccov, restrict, rho, wedge)
@@ -43,6 +44,22 @@ class TestWedge:
         w1 = wedge(dx(0), dy(1))
         w2 = wedge(dy(1), dx(0))
         assert w1 == -w2
+
+    def test_merge_sign_is_the_inversion_count(self):
+        """The shuffle sign of `_merge_keys`, which `wedge`, `exterior_derivative`
+        and `evaluate_current` read, against a count of the inversions, on every
+        complementary split of range(k) for k <= 7."""
+        def inversion_sign(s, t):
+            return -1 if sum(b < a for a in s for b in t) % 2 else 1
+
+        splits = 0
+        for k in range(8):
+            for m in range(k + 1):
+                for s in combinations(range(k), m):
+                    t = tuple(i for i in range(k) if i not in s)
+                    assert _merge_keys(s, t) == (tuple(range(k)), inversion_sign(s, t))
+                    splits += 1
+        assert splits == 2 ** 8 - 1
 
 
 rat3 = st.fractions(max_denominator=3, min_value=-3, max_value=3)

@@ -314,3 +314,29 @@ class TestBergmanOfSums:
         assert len(img.cells()) == 1
         c = img.cells()[0]
         assert cell_weight(c.frame, c.poly.tangent_basis) == 2
+
+
+class TestConstructedCyclesAreValid:
+    """`stable_intersection` (both returns) and `bergman_fan` check their
+    inputs and not their outputs, which are cycles by theorem; these check
+    that they are."""
+
+    def test_stable_intersections_of_corpus_fans(self, polytope_corpus):
+        fans = [(name, dual_fan_etp(g, 3).result) for name, g in polytope_corpus
+                if g.ambient == 4 and 3 in valid_k_range(g)]
+        shift = pt(1, 3, 7, 13)
+        for i, (name_p, p) in enumerate(fans):
+            for name_q, q in fans[i:]:
+                moved = translate(q, shift)
+                assert transversal(p, moved), (name_p, name_q)
+                for out in (stable_intersection(p, moved),
+                            stable_intersection(p, q, force_stable=True)):
+                    assert is_etp(out.framed).ok, (name_p, name_q)
+        assert len(fans) >= 10
+
+    def test_bergman_fans_of_corpus_translates(self, polytope_corpus):
+        for name, gamma in polytope_corpus:
+            shift = tuple(F(j + 1, 2) for j in range(gamma.ambient))
+            for k in valid_k_range(gamma):
+                out = bergman_fan(translate(dual_fan_etp(gamma, k).result, shift))
+                assert is_etp(out.framed).ok, (name, k)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import etv.polyhedra as polyhedra
 import linearity_reference as ref
 from canonical_reference import canonical_reference
-from etv.dualfan import dual_fan_etp
+from etv.dualfan import dual_fan_etp, valid_k_range
 from etv.framed import (add, canonicalize, cell_weight, equivalent, is_etp,
                         is_positive, scale)
 from etv.jsonio import framedset_to_json
@@ -454,3 +454,18 @@ class TestCornerLociAreCycles:
     def test_random_functions(self, h):
         assert is_etp(corner_locus(h).framed).ok
 
+
+class TestWeightedBoundariesAreCycles:
+    """`dc_weighted` does not check its output, which is a cycle by theorem;
+    these check that it is one."""
+
+    def test_corpus_fans(self, polytope_corpus):
+        nonzero = 0
+        for name, gamma in polytope_corpus:
+            h = support_function(gamma)
+            for k in valid_k_range(gamma):
+                if k - 1 >= gamma.ambient // 2:
+                    out = dc_weighted(h, dual_fan_etp(gamma, k).framed_rep())
+                    assert is_etp(out.framed).ok, (name, k)
+                    nonzero += not out.is_zero()
+        assert nonzero >= 20

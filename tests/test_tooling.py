@@ -181,3 +181,27 @@ def test_every_public_method_is_read():
                       if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
     for name, cls, method in methods:
         assert method in loaded, f"{name}: {cls}.{method} is never read"
+
+
+def test_every_exported_name_is_read():
+    """Each name that `etv/__init__.py` exports is imported, or read as an
+    attribute, by another library module, a test, the benchmark or the
+    README's Python examples; a local of the same name does not count."""
+    init = ast.parse((ROOT / "src" / "etv" / "__init__.py").read_text(encoding="utf-8"))
+    exported = {alias.name for node in ast.walk(init) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    trees = [ast.parse(block) for block in re.findall(r"```python\n(.*?)```", readme, re.S)]
+    trees += [ast.parse(path.read_text(encoding="utf-8"))
+              for path in [*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").glob("*.py"),
+                           *(ROOT / "perfbench").glob("*.py")]
+              if path.name != "__init__.py"]
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert exported
+    assert exported - read == set()
