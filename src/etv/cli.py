@@ -9,6 +9,9 @@ Resource caps come from the environment: ETV_MAX_CELLS bounds the number
 of cells any framed input or product may reach, ETV_MAX_SUBSETS bounds 2^k
 for a family of k sets given to the `degeneracy` command.
 
+Each command imports the library functions it calls, and `--schema` the
+schemas, so a call loads (and, without cached bytecode, compiles) only
+the modules its command runs.
 """
 
 from __future__ import annotations
@@ -19,16 +22,8 @@ import os
 import sys
 
 from . import jsonio
-from .degeneracy import _find_witness, mixed_volume_zero_criterion
-from .dualfan import dual_fan_etp
-from .framed import (_check_cycle, _framed, add, boundary, canonicalize, equivalent,
-                     evaluate_current, is_etp)
-from .intersection import bergman_fan, product, stable_support
 from .jsonio import ParseError
-from .monge import (corner_locus, dc_weighted, mixed_ma, mixed_volume_oracle,
-                    mixed_volume_via_ma)
 from .scalars import rat_str
-from .schemas import ALL_SCHEMAS
 
 CONVENTIONS = {
     "id": "etv-conventions-1",
@@ -66,6 +61,7 @@ def _check_cells(count: int):
 def _guard_cells(x):
     """Pass x (a FramedSet or an EtvRep) through unless it has more than
     ETV_MAX_CELLS cells."""
+    from .framed import _framed
     _check_cells(len(_framed(x).cells))
     return x
 
@@ -83,6 +79,7 @@ def _load_framed(path):
 
 
 def _load_etv(path):
+    from .framed import canonicalize
     return canonicalize(_load_framed(path))
 
 
@@ -118,18 +115,21 @@ def _framed_result(x) -> dict:
 # -- commands: each maps its parsed arguments to the result of its report ----
 
 def _cmd_validate_etp(args):
+    from .framed import is_etp
     report = is_etp(_load_framed(args.input))
     return {"ok": report.ok, "witness": report.witness,
             "status": "ok" if report.ok else "invalid"}
 
 
 def _cmd_boundary(args):
+    from .framed import boundary
     bd = boundary(_load_framed(args.input))
     return {"result": jsonio.framedset_to_json(bd),
             "support_empty": not bd.support_cells()}
 
 
 def _cmd_dual_fan(args):
+    from .dualfan import dual_fan_etp
     gamma = jsonio.vpolytope_from_json(_load(args.polytope))
     fan = dual_fan_etp(gamma, args.k)
     # emit the per-face fan representative: support functions stay cellwise
@@ -141,16 +141,19 @@ def _cmd_dual_fan(args):
 
 
 def _cmd_add(args):
+    from .framed import add
     p, q = [_load_etv(path) for path in args.inputs]
     return _framed_result(_guard_cells(add(p, q)))
 
 
 def _cmd_product(args):
+    from .intersection import product
     p, q = [_load_etv(path) for path in args.inputs]
     return _framed_result(_guard_cells(product(p, q, seed=args.seed)))
 
 
 def _cmd_stable_support(args):
+    from .intersection import stable_support
     p, q = [_load_etv(path) for path in args.inputs]
     cells = stable_support(p, q, seed=args.seed)
     return {"cells": [{"geom": jsonio.hpoly_to_json(s.cell),
@@ -160,15 +163,19 @@ def _cmd_stable_support(args):
 
 
 def _cmd_bergman(args):
+    from .intersection import bergman_fan
     return _framed_result(bergman_fan(_load_etv(args.input)))
 
 
 def _cmd_corner_locus(args):
+    from .monge import corner_locus
     h = jsonio.plfunction_from_json(_load(args.input))
     return _framed_result(_guard_cells(corner_locus(h)))
 
 
 def _cmd_dc(args):
+    from .framed import _check_cycle
+    from .monge import dc_weighted
     h = jsonio.plfunction_from_json(_load(args.function))
     x = _load_framed(args.cycle)
     _check_cycle(x, {})  # not merged: h is affine on the cells as given
@@ -176,21 +183,25 @@ def _cmd_dc(args):
 
 
 def _cmd_mixed_ma(args):
+    from .monge import mixed_ma
     funcs = [jsonio.plfunction_from_json(_load(p)) for p in args.inputs]
     return _framed_result(_guard_cells(mixed_ma(*funcs, seed=args.seed)))
 
 
 def _cmd_mixed_volume(args):
+    from .monge import mixed_volume_via_ma
     bodies = [jsonio.vpolytope_from_json(_load(p)) for p in args.inputs]
     return {"value": rat_str(mixed_volume_via_ma(*bodies, seed=args.seed))}
 
 
 def _cmd_mv_oracle(args):
+    from .monge import mixed_volume_oracle
     bodies = [jsonio.points_from_json(_load(p)) for p in args.inputs]
     return {"value": rat_str(mixed_volume_oracle(*bodies))}
 
 
 def _cmd_degeneracy(args):
+    from .degeneracy import _find_witness
     fam = jsonio.family_from_json(_load(args.family))
     if 2 ** fam.k > int(os.environ.get("ETV_MAX_SUBSETS", "4096")):
         raise ResourceCap("family size exceeds ETV_MAX_SUBSETS for enumeration")
@@ -205,6 +216,7 @@ def _cmd_degeneracy(args):
 
 
 def _cmd_mv_zero(args):
+    from .degeneracy import mixed_volume_zero_criterion
     bodies = [jsonio.points_from_json(_load(p)) for p in args.bodies]
     zero, subset, basis = mixed_volume_zero_criterion(*bodies)
     result = {"zero": zero}
@@ -215,12 +227,14 @@ def _cmd_mv_zero(args):
 
 
 def _cmd_eval_current(args):
+    from .framed import evaluate_current
     p = _load_etv(args.cycle)
     tf = jsonio.testform_from_json(_load(args.form))
     return {"value": rat_str(evaluate_current(p, tf))}
 
 
 def _cmd_equivalent(args):
+    from .framed import equivalent
     p, q = [_load_etv(path) for path in args.inputs]
     return {"equivalent": equivalent(p, q)}
 
@@ -279,6 +293,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.schema:
+        from .schemas import ALL_SCHEMAS
         sys.stdout.write(_dumps(ALL_SCHEMAS))
         return EXIT_OK
     if not args.command:

@@ -24,13 +24,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .exterior import _complex_pairing, complex_annihilator, real_covector_to_ccov
-from .framed import EtvRep
-from .linalg import EchelonBasis, kernel_basis, rref
-from .monge import AffineFunc, PLFunction, _real_ambient, linearity_complex
+from .linalg import EchelonBasis, _real_ambient, kernel_basis, rref
 from .scalars import CRat
+
+if TYPE_CHECKING:
+    from .framed import EtvRep
+    from .monge import AffineFunc, PLFunction
 
 _ZERO = Fraction(0)
 _BRUTEFORCE_CAP = 12  # sets; `witness_bruteforce` tries every subset
@@ -191,6 +192,7 @@ def _normalize_line(w):
 def hyperplane_equations(p: EtvRep) -> list:
     """Per-cell complex covectors vanishing on the cell tangent spaces,
     normalized so the first nonzero coordinate is one."""
+    from .exterior import real_covector_to_ccov
     if p.dim != p.n - 1:
         raise ValueError("hyperplane equations need a hypersurface cycle")
     out = []
@@ -221,6 +223,7 @@ class HDegeneracyCertificate(NamedTuple):
 
 def validate_h_certificate(cert: HDegeneracyCertificate, funcs) -> bool:
     """Corrected functions must have all piece differentials constant along H."""
+    from .exterior import _complex_pairing
     if not cert.h_basis:
         return False
     for idx, corr in zip(cert.subset, cert.correctors):
@@ -236,6 +239,7 @@ def validate_h_certificate(cert: HDegeneracyCertificate, funcs) -> bool:
 
 def _corrector(h: PLFunction) -> AffineFunc:
     """The negated first plus functional of h, which its certificate adds."""
+    from .monge import AffineFunc
     return AffineFunc(tuple(-c for c in h.plus[0].w), -h.plus[0].c)
 
 
@@ -253,6 +257,8 @@ def ma_zero_criterion(*funcs: PLFunction):
     hull have distinct slopes), so the walls carry the corner locus; and h
     is affine exactly when its tiling has one region.
     """
+    from .exterior import complex_annihilator, real_covector_to_ccov
+    from .monge import linearity_complex
     n = funcs[0].n
     for h in funcs:
         if not h.is_convex():

@@ -5,18 +5,25 @@ All numbers serialize as exact strings ("p/q" or "p"), complex scalars as
 orientation basis; on load they are transported to the cell's canonical
 basis, so files produced with any valid basis round-trip to the same
 canonical object.
+
+Only `etv.scalars` is imported at the top: each parser imports the record
+classes it builds, so reading a file loads only the modules its objects
+live in.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .exterior import Alt, OddForm
-from .framed import EtvRep, FramedCell, FramedSet, TestForm, _framed, canonicalize
-from .monge import AffineFunc, PLFunction
-from .polyhedra import HPoly, VPolytope
-from .polynomials import Poly
 from .scalars import CRat, crat_str, rat_str
+
+if TYPE_CHECKING:
+    from .exterior import Alt
+    from .framed import EtvRep, FramedSet, TestForm
+    from .monge import AffineFunc, PLFunction
+    from .polyhedra import HPoly, VPolytope
+    from .polynomials import Poly
 
 
 class ParseError(ValueError):
@@ -101,12 +108,18 @@ def form_to_json(form: Alt):
                       for k, v in sorted(form.terms.items())]}
 
 
-def form_from_json(obj, n: int) -> Alt:
-    """A complex form on C^n."""
+def _form_fields(obj, n: int):
+    """(degree, terms) of a complex form on C^n."""
     degree = _int(_get(obj, "degree"), 0)
     terms = {_indices(_get(t, "indices"), degree, n): _crat(_get(t, "value"))
              for t in _list(_get(obj, "terms", []))}
-    return Alt(degree, terms)
+    return degree, terms
+
+
+def form_from_json(obj, n: int) -> Alt:
+    """A complex form on C^n."""
+    from .exterior import Alt
+    return Alt(*_form_fields(obj, n))
 
 
 def _functional_to_json(coeffs, rhs):
@@ -126,11 +139,17 @@ def hpoly_to_json(p: HPoly):
             "ineq": [_functional_to_json(a, b) for a, b in p.ineq]}
 
 
-def hpoly_from_json(obj) -> HPoly:
+def _hpoly_fields(obj):
+    """(ambient, eq, ineq) of an H-polyhedron."""
     ambient = _int(_get(obj, "ambient"), 1)
     eq = [_functional_from_json(e, ambient) for e in _list(_get(obj, "eq", []))]
     ineq = [_functional_from_json(e, ambient) for e in _list(_get(obj, "ineq", []))]
-    return HPoly(ambient, eq, ineq).canonical()
+    return ambient, eq, ineq
+
+
+def hpoly_from_json(obj) -> HPoly:
+    from .polyhedra import HPoly
+    return HPoly(*_hpoly_fields(obj)).canonical()
 
 
 def polyhedralset_to_json(ps) -> dict:
@@ -138,8 +157,8 @@ def polyhedralset_to_json(ps) -> dict:
 
 
 def polyhedralset_from_json(obj, k: int, ambient: int):
-    from .polyhedra import PolyhedralSet
-    cells = [hpoly_from_json(c) for c in _list(_get(obj, "cells"))]
+    from .polyhedra import HPoly, PolyhedralSet
+    cells = [HPoly(*_hpoly_fields(c)).canonical() for c in _list(_get(obj, "cells"))]
     return PolyhedralSet.from_cells(k, ambient, cells)
 
 
@@ -162,6 +181,7 @@ def points_from_json(obj):
 
 def vpolytope_from_json(obj) -> VPolytope:
     """A polytope of the dual of C^n: its vertices have 2n coordinates."""
+    from .polyhedra import VPolytope
     points = points_from_json(obj)
     if len(points[0]) % 2:
         raise ParseError(f"vertices of {len(points[0])} coordinates: a polytope "
@@ -170,6 +190,7 @@ def vpolytope_from_json(obj) -> VPolytope:
 
 
 def framedset_to_json(x) -> dict:
+    from .framed import _framed
     framed = _framed(x)
     cells = []
     for c in framed.cells:
@@ -181,15 +202,18 @@ def framedset_to_json(x) -> dict:
 
 
 def framedset_from_json(obj) -> FramedSet:
+    from .exterior import Alt, OddForm
+    from .framed import FramedCell, FramedSet
+    from .polyhedra import HPoly
     n = _int(_get(obj, "n"), 1)
     k = _int(_get(obj, "k"), 0)
     cells = []
     for entry in _list(_get(obj, "cells", [])):
-        poly = hpoly_from_json(_get(entry, "geom"))
+        poly = HPoly(*_hpoly_fields(_get(entry, "geom"))).canonical()
         if poly.ambient != 2 * n:
             raise ParseError(f"cell of ambient dimension {poly.ambient} for n = {n}")
         frame_obj = _get(entry, "frame", {})
-        form = form_from_json(_get(frame_obj, "form"), n)
+        form = Alt(*_form_fields(_get(frame_obj, "form"), n))
         basis = [vector_from_json(b) for b in _list(_get(frame_obj, "basis", []))]
         if basis and tuple(basis) != tuple(poly.tangent_basis):
             odd = OddForm(form=form, basis=tuple(basis))
@@ -199,15 +223,12 @@ def framedset_from_json(obj) -> FramedSet:
 
 
 def etv_from_json(obj) -> EtvRep:
+    from .framed import canonicalize
     return canonicalize(framedset_from_json(obj))
 
 
 def affine_to_json(f: AffineFunc):
     return {"w": cvector_to_json(f.w), "c": rat_str(f.c)}
-
-
-def affine_from_json(obj) -> AffineFunc:
-    return AffineFunc(w=cvector_from_json(_get(obj, "w")), c=_rat(_get(obj, "c")))
 
 
 def plfunction_to_json(h: PLFunction):
@@ -217,33 +238,45 @@ def plfunction_to_json(h: PLFunction):
 
 
 def plfunction_from_json(obj) -> PLFunction:
+    from .monge import AffineFunc, PLFunction, affine_zero
+
+    def affine(f):
+        return AffineFunc(w=cvector_from_json(_get(f, "w")), c=_rat(_get(f, "c")))
+
     n = _int(_get(obj, "n"), 1)
-    plus = tuple(affine_from_json(f) for f in _list(_get(obj, "plus")))
-    minus = tuple(affine_from_json(f) for f in _list(_get(obj, "minus", [])))
+    plus = tuple(affine(f) for f in _list(_get(obj, "plus")))
+    minus = tuple(affine(f) for f in _list(_get(obj, "minus", [])))
     if any(len(f.w) != n for f in plus + minus):
         raise ParseError(f"affine function of the wrong length for n = {n}")
     if not minus:
-        from .monge import affine_zero
         minus = (affine_zero(n),)
     if not plus:
         raise ParseError("plus family must be nonempty")
     return PLFunction(n=n, plus=plus, minus=minus)
 
 
-def poly_from_json(obj, nvars: int) -> Poly:
+def _poly_terms(obj, nvars: int) -> dict:
+    """exponent tuple -> coefficient of a polynomial in nvars variables."""
     terms = {}
     for t in _list(obj):
         terms[tuple(_int(e) for e in _list(_get(t, "exps"), nvars))] = _rat(_get(t, "coeff"))
-    return Poly(nvars, terms)
+    return terms
+
+
+def poly_from_json(obj, nvars: int) -> Poly:
+    from .polynomials import Poly
+    return Poly(nvars, _poly_terms(obj, nvars))
 
 
 def testform_from_json(obj) -> TestForm:
+    from .framed import TestForm
+    from .polynomials import Poly
     degree = _int(_get(obj, "degree"), 0)
     window = tuple((_rat(lo), _rat(hi))
                    for lo, hi in (_list(w, 2) for w in _list(_get(obj, "window"))))
     nv = len(window)
     terms = tuple((_indices(_get(t, "indices"), degree, nv),
-                   poly_from_json(_get(t, "poly"), nv))
+                   Poly(nv, _poly_terms(_get(t, "poly"), nv)))
                   for t in _list(_get(obj, "terms", [])))
     return TestForm(degree, terms, window)
 

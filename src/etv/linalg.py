@@ -339,3 +339,14 @@ def scale_primitive(vec: Sequence[Fraction], lead_positive: bool = True) -> tupl
                     ints = [-w for w in ints]
                 break
     return tuple(_fraction(v) for v in ints)
+
+
+def _real_ambient(bodies) -> int:
+    """n, for n bodies of points of R^n: the shape check of the mixed
+    volume functions of `etv.monge` and `etv.degeneracy`."""
+    n = len(bodies[0][0])
+    if len(bodies) != n:
+        raise ValueError(f"need exactly {n} bodies")
+    if any(len(p) != n for b in bodies for p in b):
+        raise ValueError(f"bodies must be point lists in R^{n}")
+    return n

@@ -43,6 +43,7 @@ from .exterior import ccov_form, ccov_to_real_covector, complexify, dc_ccov, wed
 from .framed import (EtvRep, FramedCell, FramedSet, _framed, boundary,
                      canonicalize, cell_weight, equivalent, translate, zero_etv)
 from .intersection import product_many
+from .linalg import _real_ambient
 from .polyhedra import (HPoly, VPolytope, _built_canonical, _chart, _dual_n, _faces_below,
                         _hull_facets, _prim_ineq, volume)
 from .scalars import CRat
@@ -264,16 +265,6 @@ def mixed_volume_via_ma(*bodies: VPolytope, seed: int = 0) -> Fraction:
             raise ValueError("mixed product not supported on imaginary translates")
         total += cell_weight(c.frame, c.poly.tangent_basis)
     return total / factorial(n)
-
-
-def _real_ambient(bodies) -> int:
-    """n, for n bodies of points of R^n."""
-    n = len(bodies[0][0])
-    if len(bodies) != n:
-        raise ValueError(f"need exactly {n} bodies")
-    if any(len(p) != n for b in bodies for p in b):
-        raise ValueError(f"bodies must be point lists in R^{n}")
-    return n
 
 
 def _real_minkowski(a, b):

@@ -8,6 +8,10 @@ is intended, print the new values with `_observed` and re-record them.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -145,6 +149,20 @@ def _observed(capsys, monkeypatch, files, case):
 def test_report_bytes_and_exit_code(capsys, monkeypatch, files, case):
     _, _, code, digest = _PINNED[case]
     assert _observed(capsys, monkeypatch, files, case) == (code, digest)
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED))
+def test_fresh_process_gives_the_pinned_report(files, case):
+    """The same cases as `python -m etv.cli` children: a module imported in
+    the wrong order, or an import cycle, fails only in a fresh process."""
+    root, paths = files
+    argv, env, code, digest = _PINNED[case]
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-m", "etv.cli", *_resolve(argv, paths)],
+                         capture_output=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(src), **env})
+    assert (out.returncode, _digest(out.stdout.replace(str(root).encode(), b"<dir>"))) \
+        == (code, digest)
 
 
 @pytest.mark.parametrize("case", sorted(_PINNED))

@@ -8,6 +8,8 @@ import sys
 from itertools import takewhile
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 # per-layer metrics that the benchmark measures outside the tracer
@@ -156,14 +158,67 @@ def test_every_class_is_a_record_slotted_or_an_exception():
         assert cls.__dictoffset__ == 0, f"{cls.__qualname__} instances have a __dict__"
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    """`import etv.cli` is paid on every CLI call; these two modules cost
-    about a fifth of it and no computation needs them."""
-    code = "import sys, etv.cli; print(*{'dataclasses', 'inspect'} & set(sys.modules))"
+def _loaded_after(code, cwd=None):
+    """The modules that a fresh `python -S` child has loaded after running
+    `code`, as printed on the last line of its output: `etv` submodules
+    without the `etv.` prefix, and `dataclasses` and `inspect`."""
+    code += ("\nimport sys\nprint(*sorted(m[4:] if m.startswith('etv.') else m"
+             " for m in sys.modules if m.startswith('etv.')"
+             " or m in ('dataclasses', 'inspect')))")
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                         check=True, timeout=120, env=env)
-    assert out.stdout.split() == []
+                         check=True, timeout=120, env=env, cwd=cwd)
+    return set(out.stdout.splitlines()[-1].split())
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """`import etv.cli` is paid on every CLI call: it loads neither of these
+    two modules, which cost about a fifth of it and no computation needs,
+    and of the library only the command-line core.  `import etv` loads no
+    submodule until a name or a submodule is read from it."""
+    assert _loaded_after("import etv.cli") <= {"cli", "jsonio", "scalars"}
+    assert _loaded_after("import etv") == set()
+    assert _loaded_after("import etv; etv.lp") == {"lp"}
+    assert _loaded_after("from etv import VectorFamily") == {"degeneracy", "linalg", "scalars"}
+
+
+_C0, _C1 = {"re": "0", "im": "0"}, {"re": "1", "im": "0"}
+_LOAD_INPUTS = {
+    "fam": {"n": 2, "sets": [[[_C1, _C0]], [[_C1, _C0], [_C0, _C1]]]},
+    "seg": {"vertices": [["0", "0"], ["1", "0"]]},
+    "seg-im": {"vertices": [["0", "0"], ["0", "1"]]},
+    "square": {"vertices": [["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]]},
+}
+_VECTOR_FAMILY_ONLY = {"polyhedra", "lp", "framed", "exterior", "intersection", "dualfan",
+                       "monge", "schemas"}
+
+# a command's arguments -> (the modules it runs, modules it must not load)
+_COMMAND_LOADS = {
+    "degeneracy": (["degeneracy", "--family", "fam.json"], {"degeneracy"},
+                   _VECTOR_FAMILY_ONLY),
+    "mv-zero": (["mv-zero", "--bodies", "seg.json", "seg.json"], {"degeneracy"},
+                _VECTOR_FAMILY_ONLY),
+    "mv-zero-nonzero": (["mv-zero", "--bodies", "seg.json", "seg-im.json"], {"degeneracy"},
+                        _VECTOR_FAMILY_ONLY),
+    "dual-fan": (["dual-fan", "--polytope", "square.json", "--k", "1"], {"dualfan"},
+                 {"monge", "intersection", "degeneracy", "schemas"}),
+    "schema": (["--schema"], {"schemas"}, set()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_COMMAND_LOADS))
+def test_each_command_loads_only_its_modules(tmp_path, case):
+    """A CLI call compiles what it loads when bytecode is not cached, so a
+    command loads the modules it runs and no others; only `--schema`
+    loads the schemas."""
+    argv, runs, never = _COMMAND_LOADS[case]
+    for name, obj in _LOAD_INPUTS.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    if argv != ["--schema"]:
+        argv = argv + ["--output", "report.json"]
+    loaded = _loaded_after(f"import etv.cli\nassert etv.cli.main({argv!r}) == 0", tmp_path)
+    assert runs <= loaded
+    assert loaded & never == set()
 
 
 def test_every_public_method_is_read():
@@ -188,8 +243,9 @@ def test_every_exported_name_is_read():
     attribute, by another library module, a test, the benchmark or the
     README's Python examples; a local of the same name does not count."""
     init = ast.parse((ROOT / "src" / "etv" / "__init__.py").read_text(encoding="utf-8"))
-    exported = {alias.name for node in ast.walk(init) if isinstance(node, ast.ImportFrom)
-                for alias in node.names}
+    table = next(node.value for node in init.body if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["_EXPORTS"])
+    exported = {name for names in ast.literal_eval(table).values() for name in names}
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     trees = [ast.parse(block) for block in re.findall(r"```python\n(.*?)```", readme, re.S)]
     trees += [ast.parse(path.read_text(encoding="utf-8"))
@@ -205,3 +261,23 @@ def test_every_exported_name_is_read():
                 read.add(node.attr)
     assert exported
     assert exported - read == set()
+
+
+def test_every_exported_name_resolves_alike():
+    """Each name of the export table of `etv/__init__.py` is the same object
+    read as `etv.<name>`, by `from etv import *` and from its module; the
+    table is `__all__` and `dir(etv)`, and no other name resolves."""
+    import etv
+    star = {}
+    exec("from etv import *", star)
+    del star["__builtins__"]
+    names = {name for names in etv._EXPORTS.values() for name in names}
+    for module, in_module in etv._EXPORTS.items():
+        for name in in_module:
+            obj = getattr(getattr(etv, module), name)
+            assert getattr(etv, name) is obj, name
+            assert star[name] is obj, name
+    assert set(star) == names
+    assert sorted(etv.__all__) == sorted(dir(etv)) == sorted(names)
+    with pytest.raises(AttributeError):
+        etv.no_such_name
