@@ -19,14 +19,21 @@ ordered basis (orientation token) it is expressed in; re-expressing in a
 basis of opposite orientation negates it.
 
 A frame on a cell with tangent space E is read through the complex split
-of E (`complex_split`), computed once per call: whether E is degenerate,
-the rref basis of its maximal complex subspace C_E = E & JE (the kernel of
-the annihilator A of E together with JA), which is already the standard
-complex basis (u1, J u1, ...), and a quotient basis of E/C_E oriented so
-that (quotient, complex basis) has the orientation of the tangent basis.
+of E (`complex_split`), computed once per distinct tangent basis: whether
+E is degenerate, the rref basis of its maximal complex subspace
+C_E = E & JE (the kernel of the annihilator A of E together with JA),
+which is already the standard complex basis (u1, J u1, ...), and a
+quotient basis of E/C_E oriented so that (quotient, complex basis) has
+the orientation of the tangent basis.
 A sign or a weight is one evaluation of the frame on the quotient basis
 (`quotient_density`); the cycle check evaluates the frame once on every
 subset of the quotient and complex bases (`frame_on_split`).
+
+The split depends on the tangent basis alone, and stable products meet
+the same few tangent spaces on many fresh cells, so `complex_split`
+remembers the splits of its last `_SPLIT_MEMO_CAP` distinct bases (first
+in, first out), keyed by the ordered basis, which fixes the orientation.
+Its fields are tuples, so a remembered split is shared read-only.
 """
 
 from __future__ import annotations
@@ -35,11 +42,14 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
-from .linalg import basis_change_sign, det, det_at, kernel_basis, rref
+from .linalg import _remember, basis_change_sign, det, det_at, kernel_basis, rref
 from .scalars import CRat
 
 RVec = tuple  # 2n rationals, (x1, y1, ..., xn, yn)
 CCov = tuple  # n CRat entries
+
+_SPLIT_MEMO_CAP = 256
+_SPLIT_MEMO: dict = {}  # tangent basis -> ComplexSplit, oldest first
 
 
 # ---------------------------------------------------------------------------
@@ -332,32 +342,42 @@ class ComplexSplit(NamedTuple):
     tangent basis.  A degenerate E has no quotient basis.
     """
     degenerate: bool
-    complex_basis: list
-    quotient_basis: list
+    complex_basis: tuple
+    quotient_basis: tuple
 
 
 def complex_split(tangent_basis) -> ComplexSplit:
-    """The complex split of span(tangent_basis), oriented by that basis."""
-    tangent = list(tangent_basis)
+    """The complex split of span(tangent_basis), oriented by that basis,
+    from the memo keyed by the basis itself (see the module docstring)."""
+    key = tuple(tangent_basis)
+    split = _SPLIT_MEMO.get(key)
+    if split is None:
+        split = _remember(_SPLIT_MEMO, _SPLIT_MEMO_CAP, key, _complex_split(key))
+    return split
+
+
+def _complex_split(tangent) -> ComplexSplit:
+    """The complex split of span(tangent), computed: `complex_split` without
+    its memo."""
     if not tangent:
-        return ComplexSplit(False, [], [])
+        return ComplexSplit(False, (), ())
     c_basis, degenerate = max_complex_subspace(tangent)
     if degenerate:
-        return ComplexSplit(True, c_basis, [])
+        return ComplexSplit(True, tuple(c_basis), ())
     pivots = rref(tangent)[1]
     if len(pivots) != len(tangent):
         raise ValueError("tangent vectors are dependent")
     if not c_basis:
-        return ComplexSplit(False, [], tangent)
+        return ComplexSplit(False, (), tangent)
     # the pivot columns of the transpose are the rows outside the span of
     # the rows before them
-    keep = rref(list(zip(*(c_basis + tangent))))[1][len(c_basis):]
+    keep = rref(list(zip(*(c_basis + list(tangent)))))[1][len(c_basis):]
     quotient = [tangent[i - len(c_basis)] for i in keep]
     if det_at(quotient + c_basis, pivots) * det_at(tangent, pivots) < 0:
         if not quotient:
             raise ValueError("complex subspace orientation conflicts with token")
         quotient[0] = tuple(-x for x in quotient[0])
-    return ComplexSplit(False, c_basis, quotient)
+    return ComplexSplit(False, tuple(c_basis), tuple(quotient))
 
 
 def quotient_density(form: Alt, split: ComplexSplit) -> CRat:

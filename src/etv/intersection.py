@@ -11,7 +11,8 @@ blocks shifts in a proper affine subspace, which the curve meets in at
 most 2n points, so all but finitely many t are certified transversal.
 
 Transversality itself is one rank test per minimal face of each touching
-pair of cells: the smallest faces of the two cells at that minimal face
+pair of cells, found by one linear solve when the pair meets in a
+translated cone: the smallest faces of the two cells at that minimal face
 decide it for every pair of faces that meet (see `transversal`).  The test
 intersects every pair of cells, and `stable_intersection` and
 `stable_support` frame the intersections it leaves instead of intersecting
@@ -28,7 +29,7 @@ from .exterior import (Alt, complex_split, density_sign, quotient_density, restr
 from .framed import (EtvRep, FramedCell, FramedSet, _framed, _refined_sum, add,
                      canonicalize, cell_sign, is_positive, negate, split_positive,
                      zero_etv)
-from .linalg import intersect_rowspaces, rank
+from .linalg import intersect_rowspaces, rank, solve
 from .polyhedra import HPoly
 
 _ZERO = Fraction(0)
@@ -57,10 +58,10 @@ def transversal(x, y) -> bool:
       likewise for G, so T F + T G contains T F_a(H0) + T F_b(H0);
     - conversely F_a(H0) and F_b(H0) are faces that touch, at H0.
 
-    A minimal face has the dimension of the lineality space of a & b,
-    ambient minus the rank of all its rows, and its point is a linear
-    solve.  For fans a & b is a cone whose one minimal face is that space,
-    so each pair of cells costs one rank test.
+    When one point makes every row of a & b tight, as for fans and their
+    translates, a & b is a translated cone whose one minimal face is the
+    apex, so the pair costs one linear solve and one rank test; only other
+    pairs walk `HPoly.faces` down to the lineality dimension.
     """
     return _transversal_meets(_framed(x), _framed(y)) is not None
 
@@ -77,15 +78,31 @@ def _transversal_meets(xf: FramedSet, yf: FramedSet):
     test of `transversal`, which stops at the first pair that fails."""
     meets = []
     for a, b, inter in _meets(xf, yf):
-        lineality = inter.ambient - rank([r for r, _ in inter.eq + inter.ineq])
-        for h0 in inter.faces(lineality):  # none when a & b is empty
-            p = h0.relint_point()
+        for p in _minimal_face_points(inter):
             rows_a = [r for r, _ in a.poly.eq + a.poly.tight_at(p)]
             rows_b = [r for r, _ in b.poly.eq + b.poly.tight_at(p)]
             if rank(rows_a) + rank(rows_b) != rank(rows_a + rows_b):
                 return None
         meets.append((a, b, inter))
     return meets
+
+
+def _minimal_face_points(inter: HPoly):
+    """A point of each minimal face of a canonical polyhedron, none when it
+    is empty.
+
+    When one point makes every row tight, the polyhedron is that point plus
+    a cone, whose one minimal face is the apex, so one linear solve gives
+    it; otherwise the faces of the lineality dimension are walked."""
+    if inter.is_empty():
+        return []
+    rows = inter.eq + inter.ineq
+    apex = solve([r for r, _ in rows], [b for _, b in rows]) if rows \
+        else (_ZERO,) * inter.ambient
+    if apex is not None:
+        return [apex]
+    lineality = inter.ambient - rank([r for r, _ in rows])
+    return [h0.relint_point() for h0 in inter.faces(lineality)]
 
 
 # ---------------------------------------------------------------------------

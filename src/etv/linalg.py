@@ -15,6 +15,9 @@ subspaces always produce identical bases.
 `EchelonBasis` keeps a growing set of independent rows for searches that
 add and remove one vector at a time: each independence test reduces the
 new vector once against the kept rows instead of eliminating them again.
+
+`_remember` is the one eviction of the library's memos (`_*_MEMO`): each
+holds at most its `_*_MEMO_CAP` entries and drops the oldest first.
 """
 
 from __future__ import annotations
@@ -350,3 +353,13 @@ def _real_ambient(bodies) -> int:
     if any(len(p) != n for b in bodies for p in b):
         raise ValueError(f"bodies must be point lists in R^{n}")
     return n
+
+
+def _remember(memo: dict, cap: int, key, value):
+    """Put a value into a memo that holds at most `cap` entries, dropping
+    its oldest entry when full, and return the value: the one eviction of
+    every `_*_MEMO` of the library, so that none outgrows its cap."""
+    if len(memo) >= cap:
+        del memo[next(iter(memo))]
+    memo[key] = value
+    return value

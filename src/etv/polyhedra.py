@@ -21,7 +21,12 @@ inequalities, no redundant inequalities, and primitive integer constraint
 vectors.  Two canonical HPolys describe the same set iff their keys match.
 The canonical tangent basis is the rref basis of the direction space, so
 all cells sharing an affine hull direction also share their reference
-orientation, which keeps frame bookkeeping transport-free.
+orientation, which keeps frame bookkeeping transport-free.  It is the
+kernel of the coefficient rows of the hull equalities, which are
+canonical, so `HPoly.tangent_basis` takes it from a memo of the last
+`_TANGENT_MEMO_CAP` distinct `(ambient, rows)` keys (first in, first
+out): the many fresh cells on one hull, such as the cones of one
+direction space, share one kernel.
 
 `HPoly.canonical` remembers the canonical forms of its last
 `_CANONICAL_MEMO_CAP` non-canonical inputs (first in, first out), keyed by
@@ -70,7 +75,7 @@ from itertools import combinations
 from math import factorial
 from typing import NamedTuple
 
-from .linalg import det, det_at, kernel_basis, rank, rref, scale_primitive, solve
+from .linalg import _remember, det, det_at, kernel_basis, rank, rref, scale_primitive, solve
 from .lp import OPTIMAL, UNBOUNDED, solve_lp
 
 _ZERO = Fraction(0)
@@ -78,6 +83,8 @@ _ONE = Fraction(1)
 
 _CANONICAL_MEMO_CAP = 256
 _CANONICAL_MEMO: dict = {}  # input key -> canonical HPoly, oldest first
+_TANGENT_MEMO_CAP = 256
+_TANGENT_MEMO: dict = {}  # (ambient, hull rows) -> tangent basis, oldest first
 
 
 def _prim_eq(coeffs, rhs):
@@ -177,8 +184,7 @@ class HPoly:
         key = (self.ambient, frozenset(self.eq), frozenset(self.ineq))
         out = _CANONICAL_MEMO.get(key)
         if out is None:
-            out = self._canonical_form()
-            _remember(key, out)
+            out = _remember(_CANONICAL_MEMO, _CANONICAL_MEMO_CAP, key, self._canonical_form())
         self._empty = out._empty
         return out
 
@@ -226,8 +232,12 @@ class HPoly:
         if self._tangent is None:
             if not self._canonical:
                 raise ValueError("tangent basis of non-canonical polyhedron")
-            rows = [a for a, _ in self.eq]
-            self._tangent = tuple(kernel_basis(rows, self.ambient))
+            rows = tuple(a for a, _ in self.eq)
+            basis = _TANGENT_MEMO.get((self.ambient, rows))
+            if basis is None:
+                basis = _remember(_TANGENT_MEMO, _TANGENT_MEMO_CAP, (self.ambient, rows),
+                                  tuple(kernel_basis(rows, self.ambient)))
+            self._tangent = basis
         return self._tangent
 
     @property
@@ -401,13 +411,6 @@ def _primitive_rows(ineq):
         else:
             rows.setdefault(prim, None)
     return list(rows)
-
-
-def _remember(key, out):
-    """Put a canonical form into the memo, dropping its oldest entry when full."""
-    if len(_CANONICAL_MEMO) >= _CANONICAL_MEMO_CAP:
-        del _CANONICAL_MEMO[next(iter(_CANONICAL_MEMO))]
-    _CANONICAL_MEMO[key] = out
 
 
 def _max_slack(ambient, eq, ineq):

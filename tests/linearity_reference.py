@@ -17,8 +17,9 @@ from etv.exterior import ccov_form, dc_ccov, wedge
 from etv.framed import FramedCell, FramedSet, _framed, boundary, canonicalize
 from etv.lp import OPTIMAL
 from etv.monge import AffineFunc, LinearityCell
-from etv.polyhedra import (_CANONICAL_MEMO, HPoly, _canonical_from_hull, _max_slack,
-                           _primitive_rows, _remember)
+from etv.linalg import _remember
+from etv.polyhedra import (_CANONICAL_MEMO, _CANONICAL_MEMO_CAP, HPoly, _canonical_from_hull,
+                           _max_slack, _primitive_rows)
 
 
 def _max_region(family, i, ambient) -> HPoly:
@@ -55,7 +56,7 @@ def full_dimensional(ambient, ineq) -> HPoly | None:
         if res.status != OPTIMAL or res.value <= 0:
             return None
         out = _canonical_from_hull(ambient, (), rows)
-        _remember(key, out)
+        _remember(_CANONICAL_MEMO, _CANONICAL_MEMO_CAP, key, out)
     return None if out._empty or out.eq else out
 
 

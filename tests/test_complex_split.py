@@ -11,6 +11,7 @@ frames, and count the calls the split saves.
 """
 
 import random
+import sys
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -19,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import orientation_reference as oref
-from etv import exterior, framed, intersection
+from etv import exterior, framed, intersection, polyhedra
 from etv.dualfan import dual_fan_etp, valid_k_range
 from etv.exterior import (Alt, ComplexSplit, complex_split, max_complex_subspace,
                           quotient_pushforward)
@@ -27,7 +28,7 @@ from etv.framed import FramedCell, FramedSet, cell_sign, is_etp
 from etv.intersection import generic_shift, product, transversal_intersection
 from etv.linalg import rank
 from etv.monge import (AffineFunc, PLFunction, affine_zero, corner_locus,
-                       embed_real, support_function)
+                       embed_real, mixed_volume_via_ma, support_function)
 from etv.polyhedra import VPolytope
 from etv.scalars import CRat
 
@@ -49,8 +50,8 @@ def assert_same_split(basis, frame=None):
         assert split == quotient
         return
     assert split.degenerate == degenerate
-    assert split.complex_basis == c_ref == oref.standard_complex_basis(c_ref)
-    assert split.quotient_basis == quotient
+    assert list(split.complex_basis) == c_ref == oref.standard_complex_basis(c_ref)
+    assert list(split.quotient_basis) == quotient
     if frame is not None:
         assert _outcome(quotient_pushforward, frame, basis) == \
             _outcome(oref.pushforward, frame, basis)
@@ -178,14 +179,68 @@ class TestRandomSubspaces:
         e = [tuple(F(int(i == j)) for j in range(6)) for i in range(6)]
         assert complex_split([e[0], e[2]]).degenerate             # k < n
         assert complex_split(e[:4]).degenerate                    # C^2 in C^3
-        assert complex_split([e[0], e[2], e[4]]) == ComplexSplit(False, [], [e[0], e[2], e[4]])
-        assert complex_split(e[:5]) == ComplexSplit(False, e[:4], [e[4]])
-        assert complex_split(e) == ComplexSplit(False, e, [])
+        assert complex_split([e[0], e[2], e[4]]) == ComplexSplit(False, (), (e[0], e[2], e[4]))
+        assert complex_split(e[:5]) == ComplexSplit(False, tuple(e[:4]), (e[4],))
+        assert complex_split(e) == ComplexSplit(False, tuple(e), ())
         with pytest.raises(ValueError, match="orientation conflicts"):
             complex_split([e[1], e[0]] + e[2:])
 
 
+class TestSplitMemo:
+    def test_memo_is_capped_first_in_first_out(self):
+        exterior._SPLIT_MEMO.clear()
+        cap = exterior._SPLIT_MEMO_CAP
+        lines = [((F(1), F(k)),) for k in range(cap + 20)]  # real lines in C^1
+        for line in lines:
+            assert complex_split(line) == ComplexSplit(False, (), line)
+            assert len(exterior._SPLIT_MEMO) <= cap
+        assert lines[0] not in exterior._SPLIT_MEMO
+        assert lines[-1] in exterior._SPLIT_MEMO
+
+    def test_memo_equals_a_fresh_split_on_every_corpus_basis(self, polytope_corpus):
+        bases = {cone.tangent_basis: None for fan in _corpus_fans(polytope_corpus)
+                 for _, cone, _ in fan.face_map}
+        # each basis and its reverse, which orients E the other way when E
+        # has odd dimension
+        bases = list(bases) + [basis[::-1] for basis in bases]
+        exterior._SPLIT_MEMO.clear()
+        for memo in ("cold", "warm"):
+            for basis in bases:
+                assert _outcome(complex_split, basis) == \
+                    _outcome(exterior._complex_split, basis), memo
+
+
 class TestCallCounts:
+    def test_mixed_volume_computes_each_split_and_kernel_once(self, monkeypatch):
+        """One mixed volume of a triangle and two segments in R^3 meets the
+        same few tangent spaces on many fresh cells: each split and each
+        tangent kernel is computed once."""
+        splits, kernels = [], []
+        split, kernel = exterior.max_complex_subspace, polyhedra.kernel_basis
+
+        def counting_split(basis):
+            splits.append(tuple(basis))
+            return split(basis)
+
+        def counting_kernel(rows, ncols, *args):
+            # hull facets take kernels too; count those of tangent bases
+            if sys._getframe(1).f_code.co_name == "tangent_basis":
+                kernels.append((tuple(map(tuple, rows)), ncols))
+            return kernel(rows, ncols, *args)
+
+        monkeypatch.setattr(exterior, "max_complex_subspace", counting_split)
+        monkeypatch.setattr(polyhedra, "kernel_basis", counting_kernel)
+        for module in (exterior, polyhedra):
+            for name, memo in vars(module).items():
+                if name.endswith("_MEMO"):
+                    memo.clear()
+        bodies = [[(1, 0, -1), (2, 0, -1), (1, 1, -1)], [(0, 0, 0), (0, 1, 1)],
+                  [(-1, 1, 0), (0, 1, 1)]]
+        assert mixed_volume_via_ma(*[embed_real([tuple(map(F, p)) for p in b])
+                                     for b in bodies]) == F(1, 6)
+        assert len(splits) == len(set(splits)) > 5
+        assert len(kernels) == len(set(kernels)) > 5
+
     def test_is_etp_never_restricts(self, polytope_corpus, monkeypatch):
         fans = [fan.framed_rep() for fan in _corpus_fans(polytope_corpus)]
 

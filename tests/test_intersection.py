@@ -101,6 +101,20 @@ class TestTransversal:
         fans_and_translates()
         assert set(verdicts) == {True, False}
 
+    def test_fan_pairs_take_one_solve(self, polytope_corpus, monkeypatch):
+        """Two fans meet in cones, each pair of cells in a cone whose apex
+        one solve finds: no face lattice is walked."""
+        _, by_n = corpus_fans(polytope_corpus)
+        pairs = [(x, y) for fans in by_n.values() for x in fans for y in fans]
+        expected = [tref.transversal(x, y) for x, y in pairs]
+
+        def refuse(self, d):
+            raise AssertionError("transversal walked HPoly.faces")
+
+        monkeypatch.setattr(HPoly, "faces", refuse)
+        assert [transversal(x, y) for x, y in pairs] == expected
+        assert set(expected) == {True, False}
+
     def test_real_transversal_complex_degenerate(self):
         assert transversal(hyperplane_x1(), hyperplane_y1())
 

@@ -13,7 +13,7 @@ from etv.monge import linearity_complex, support_function
 import hull_reference as ref
 from canonical_reference import canonical_reference
 from linearity_reference import full_dimensional
-from etv.linalg import det, rank
+from etv.linalg import det, kernel_basis, rank
 from orientation_reference import coords_in_basis
 from etv.polyhedra import (HPoly, PolyhedralSet, VPolytope, common_refinement,
                            dual_cone, hyperplanes_of_cells,
@@ -358,6 +358,39 @@ class TestCanonicalMemo:
         calls = lp_calls[0]
         assert HPoly(1, ineq=rows[::-1]).canonical().is_empty()
         assert lp_calls[0] == calls
+
+
+class TestTangentMemo:
+    def test_memo_is_capped_first_in_first_out(self):
+        polyhedra._TANGENT_MEMO.clear()
+        cap = polyhedra._TANGENT_MEMO_CAP
+        lines = [HPoly(2, eq=[((F(1), F(k)), F(0))]).canonical() for k in range(cap + 20)]
+        for line in lines:
+            assert len(line.tangent_basis) == 1
+            assert len(polyhedra._TANGENT_MEMO) <= cap
+        keys = [(2, tuple(a for a, _ in line.eq)) for line in lines]
+        assert keys[0] not in polyhedra._TANGENT_MEMO
+        assert keys[-1] in polyhedra._TANGENT_MEMO
+
+    def test_cells_of_one_hull_direction_share_one_basis(self):
+        polyhedra._TANGENT_MEMO.clear()
+        hull = [((F(0), F(0), F(1)), F(0))]
+        square = [(a + (F(0),), b) for a, b in UNIT_SQUARE]
+        strip = HPoly(3, hull, square[:2]).canonical()
+        square = HPoly(3, hull, square).canonical()
+        assert strip.key != square.key
+        assert strip.tangent_basis is square.tangent_basis
+
+    def test_memo_equals_a_fresh_kernel_on_every_corpus_cone(self, polytope_corpus):
+        cones = [cone for _, gamma in polytope_corpus for k in valid_k_range(gamma)
+                 for _, cone, _ in dual_fan_etp(gamma, k, validate=False).face_map]
+        assert len({(c.ambient, c.eq) for c in cones}) > 20
+        polyhedra._TANGENT_MEMO.clear()
+        for memo in ("cold", "warm"):
+            for cone in cones:
+                fresh = tuple(kernel_basis([a for a, _ in cone.eq], cone.ambient))
+                again = HPoly(cone.ambient, cone.eq, cone.ineq, _canonical=True)
+                assert again.tangent_basis == fresh, memo
 
 
 small = st.integers(-2, 2)

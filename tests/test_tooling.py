@@ -108,6 +108,46 @@ def test_every_private_name_is_used():
                     f"{name}:{stmt.lineno} defines {bound}, which nothing reads"
 
 
+def test_every_memo_is_written_through_the_one_eviction():
+    """Each module-level `_*_MEMO` dict of the library is read by `.get` and
+    written only by `linalg._remember` under its own `_*_MEMO_CAP`, which
+    drops the oldest entry when full, so no memo grows without bound."""
+    from etv.linalg import _remember
+    memo = {}
+    for key in range(5):
+        assert _remember(memo, 3, key, -key) == -key
+        assert len(memo) <= 3
+    assert memo == {2: -2, 3: -3, 4: -4}
+
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "etv").glob("*.py"))}
+    memos, caps, bindings = set(), set(), set()
+    for tree in trees.values():
+        for stmt in tree.body:
+            for bound in _names_bound(stmt):
+                if re.fullmatch(r"_\w+_MEMO", bound):
+                    assert isinstance(stmt.value, ast.Dict) and not stmt.value.keys, bound
+                    memos.add(bound)
+                    bindings.add(stmt)
+                elif re.fullmatch(r"_\w+_MEMO_CAP", bound):
+                    caps.add(bound)
+    assert {"_CANONICAL_MEMO", "_TANGENT_MEMO", "_SPLIT_MEMO"} <= memos
+    assert caps == {memo + "_CAP" for memo in memos}
+    for name, tree in trees.items():
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Name) and node.id in memos):
+                continue
+            up = parent[node]
+            read = isinstance(up, ast.Attribute) and up.attr == "get" \
+                and isinstance(parent[up], ast.Call) and parent[up].func is up
+            kept = isinstance(up, ast.Call) and getattr(up.func, "id", None) == "_remember" \
+                and up.args[:2] and up.args[0] is node \
+                and getattr(up.args[1], "id", None) == node.id + "_CAP"
+            assert read or kept or up in bindings, \
+                f"{name}:{node.lineno} uses {node.id} other than by .get or _remember"
+
+
 def test_every_slot_is_read():
     """Each entry of a library class's `__slots__` is loaded as an attribute
     somewhere in the library, so no dead cache slot stays behind."""
