@@ -6,7 +6,8 @@ volume multivector of the face.  The sign of each frame is coordinated
 through the nondegenerate pairing Im<z, z*> between the cone's quotient
 space and the face tangent space: the frame is stored at the cell
 orientation (Q, complex-standard) where the pairing determinant of
-(Q, face basis) is positive.
+(Q, face basis) is positive.  One face lattice per call gives every face
+and its dual cone, in canonical form with no LP.
 
 The cocycle and volume-recursion checks stay in V-form: the facets of a
 face come from the one hull of its vertices, each signed by (outward
@@ -19,9 +20,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .exterior import Alt, ComplexSplit, complex_split, pairing, rho, wedge
-from .framed import EtvRep, FramedCell, FramedSet, canonicalize
+from .framed import EtvRep, FramedCell, FramedSet, _shared_frame, canonicalize
 from .linalg import basis_change_sign, det
-from .polyhedra import VPolytope, _dual_n, dual_cone, volume_multivector
+from .polyhedra import VPolytope, _dual_n, _normal_cone, volume_multivector
 from .scalars import CRat
 
 
@@ -76,11 +77,13 @@ def dual_fan_etp(gamma: VPolytope, k: int, validate=True) -> DualFanEtp:
         raise ValueError(f"polytope has no faces of dimension {m}")
     face_map = []
     cells = []
-    for face in gamma.faces(m):
-        cone = dual_cone(gamma, face)
+    lattice = gamma.face_vertex_sets()  # every face and every cone comes from it
+    for index in sorted(lattice[m], key=sorted):
+        face = VPolytope(vertices=tuple(gamma.vertices[i] for i in sorted(index)))
+        cone = _normal_cone(gamma, lattice, m, index)
         # at a valid grade a face is degenerate exactly when its cone is
         split = complex_split(cone.tangent_basis)
-        frame = Alt(m) if split.degenerate else dual_fan_frame(face, split)
+        frame = _shared_frame(Alt(m) if split.degenerate else dual_fan_frame(face, split))
         face_map.append((face, cone, frame))
         cells.append(FramedCell(cone, frame))
     framed = FramedSet(n, k, cells)

@@ -11,7 +11,10 @@ cell, refining or translating cells never changes the reference
 orientation, so frames can be compared and summed directly.  A framed set
 is a chain: `FramedSet` sums the frames of the cells it is given per cell
 key, so it lists each cell once, and every reader sees the sum.  Sums of
-zero stay as zero-framed cells; `canonicalize` drops them.  Boundaries sum
+zero stay as zero-framed cells; `canonicalize` drops them.  Each stored
+frame is the one `Alt` of its value among the last `_FRAME_MEMO_CAP`
+stored (`_shared_frame`), so the equal frames of many results are held
+once; a frame is never changed after `__init__`.  Boundaries sum
 facet frames, transversal intersections sum signed wedges, `canonicalize`
 sums each merged region into a cell outside it with the same key, and the
 corner locus of a PL function is the boundary of its linearity tiling
@@ -41,7 +44,7 @@ from typing import NamedTuple
 from .exterior import (Alt, _merge_keys, ccov_form, complex_annihilator,
                        complex_split, complexify, density_sign, evaluate_cform,
                        frame_on_split, quotient_density, wedge_all)
-from .linalg import basis_change_sign, det, det_at
+from .linalg import _remember, basis_change_sign, det, det_at
 from .lp import OPTIMAL
 from .polyhedra import (HPoly, PolyhedralSet, _built_canonical, common_refinement,
                         face_to_face, triangulate)
@@ -50,6 +53,18 @@ from .scalars import CRat
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+_FRAME_MEMO_CAP = 256
+_FRAME_MEMO: dict = {}  # frame value -> the one Alt of that value, oldest first
+
+
+def _shared_frame(frame: Alt) -> Alt:
+    """The one `Alt` of the frame's value among the last `_FRAME_MEMO_CAP`
+    frames stored: equal frames of cells and fans share one object.  The key
+    keeps each coefficient's type, since a `CRat` equals its real part."""
+    key = (frame.degree, frozenset((k, type(v), v) for k, v in frame.terms.items()))
+    out = _FRAME_MEMO.get(key)
+    return _remember(_FRAME_MEMO, _FRAME_MEMO_CAP, key, frame) if out is None else out
 
 
 class FramedCell(NamedTuple):
@@ -79,11 +94,9 @@ class FramedSet:
                 raise ValueError(f"cell of dimension {poly.dim} in a {k}-dim framed set")
             key = repr(poly.key)
             cur = sums.get(key)
-            if cur is None:
-                sums[key] = c if poly is c.poly else FramedCell(poly, c.frame)
-            else:
-                sums[key] = FramedCell(cur.poly, cur.frame + c.frame)
-        self.cells = [sums[key] for key in sorted(sums)]
+            sums[key] = (poly, c.frame) if cur is None else (cur[0], cur[1] + c.frame)
+        self.cells = [FramedCell(poly, _shared_frame(frame))
+                      for poly, frame in (sums[key] for key in sorted(sums))]
 
     @property
     def ambient(self) -> int:

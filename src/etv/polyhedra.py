@@ -13,7 +13,9 @@ intersection of the facets containing it (Ziegler, Lectures on Polytopes,
 (`_facet_cuts`); `_faces_below` walks the lattice down by these cuts, for
 `face_vertex_sets` and the lifted hulls of `monge.linearity_complex`,
 `triangulate` pulls each face from its least point over the cuts that miss
-it, and `volume` sums the simplices.
+it, and `volume` sums the simplices.  Dual cones are read off the same
+lattice with no LP (`_normal_cone`): the normal cone of a face is
+orthogonal to the face, with one facet per face covering it.
 
 Canonicalization contract: a canonical HPoly has its affine hull expressed
 as an rref equality system, no implicit equalities hiding among the
@@ -25,8 +27,17 @@ orientation, which keeps frame bookkeeping transport-free.  It is the
 kernel of the coefficient rows of the hull equalities, which are
 canonical, so `HPoly.tangent_basis` takes it from a memo of the last
 `_TANGENT_MEMO_CAP` distinct `(ambient, rows)` keys (first in, first
-out): the many fresh cells on one hull, such as the cones of one
-direction space, share one kernel.
+out), with each row scaled to primitive integers apart from its
+right-hand side: the many cells on one hull and its translates, such as
+the cones of one direction space, share one kernel.
+
+`_built_canonical` is the one constructor of nonempty canonical cells.
+It hands out one shared HPoly per `(ambient, eq, ineq)` among the last
+`_CELL_MEMO_CAP` built (first in, first out), so a cell that a
+computation rebuilds, such as the corner locus recomputing a dual fan, is
+held once by every result that keeps it.  Shared cells are never changed:
+their rows are set in `__init__` only, and their lazy caches depend on
+the rows alone.
 
 `HPoly.canonical` remembers the canonical forms of its last
 `_CANONICAL_MEMO_CAP` non-canonical inputs (first in, first out), keyed by
@@ -47,7 +58,7 @@ alone and only the redundancy test against the other inequalities is run.
 An LP whose answer follows from a known point of the set is skipped:
 - emptiness (`HPoly.is_empty`): when every inequality has b >= 0 and every
   equality b = 0, the origin is a point of the set, so it is nonempty.
-  Every dual cone and every cone of a dual fan is answered this way.
+  Every cone is answered this way.
 - implicit equalities (the scan of `_canonical_form`): a row that is
   strictly slack at a point of the set is not tight on all of it.  The
   known points are the origin, when it is a point of the set, and the
@@ -84,7 +95,9 @@ _ONE = Fraction(1)
 _CANONICAL_MEMO_CAP = 256
 _CANONICAL_MEMO: dict = {}  # input key -> canonical HPoly, oldest first
 _TANGENT_MEMO_CAP = 256
-_TANGENT_MEMO: dict = {}  # (ambient, hull rows) -> tangent basis, oldest first
+_TANGENT_MEMO: dict = {}  # (ambient, hull directions) -> tangent basis, oldest first
+_CELL_MEMO_CAP = 256
+_CELL_MEMO: dict = {}  # (ambient, eq set, ineq set) -> the canonical HPoly, oldest first
 
 
 def _prim_eq(coeffs, rhs):
@@ -148,12 +161,10 @@ class HPoly:
         ineq = [(a, b + sum(x * y for x, y in zip(a, vec))) for a, b in self.ineq]
         if self._canonical:
             # the shifted right-hand sides change the rows' primitive scaling
-            eq = [_prim_eq(a, b) for a, b in eq]
-            ineq = sorted(_prim_ineq(a, b) for a, b in ineq)
-        out = HPoly(self.ambient, eq, ineq, _canonical=self._canonical)
+            return _built_canonical(self.ambient, [_prim_eq(a, b) for a, b in eq],
+                                    sorted(_prim_ineq(a, b) for a, b in ineq))
+        out = HPoly(self.ambient, eq, ineq)
         out._empty = False
-        if self._tangent is not None:
-            out._tangent = self._tangent
         return out
 
     # -- feasibility and canonical form ---------------------------------------
@@ -232,11 +243,13 @@ class HPoly:
         if self._tangent is None:
             if not self._canonical:
                 raise ValueError("tangent basis of non-canonical polyhedron")
-            rows = tuple(a for a, _ in self.eq)
-            basis = _TANGENT_MEMO.get((self.ambient, rows))
+            # the coefficient rows scaled apart from their right-hand sides:
+            # translates of one hull have the same directions
+            key = (self.ambient, tuple(scale_primitive(a) for a, _ in self.eq))
+            basis = _TANGENT_MEMO.get(key)
             if basis is None:
-                basis = _remember(_TANGENT_MEMO, _TANGENT_MEMO_CAP, (self.ambient, rows),
-                                  tuple(kernel_basis(rows, self.ambient)))
+                basis = _remember(_TANGENT_MEMO, _TANGENT_MEMO_CAP, key,
+                                  tuple(kernel_basis(key[1], self.ambient)))
             self._tangent = basis
         return self._tangent
 
@@ -432,28 +445,7 @@ def _canonical_from_hull(ambient, eqs, ineqs) -> HPoly:
     the ones implied by the others, with one LP per row left after the
     reduction (none when one row is left).
     """
-    if eqs:
-        red, pivots = rref([tuple(a) + (b,) for a, b in eqs])
-        # reduce inequalities modulo the hull so equal sets share keys
-        reduced = []
-        seen = set()
-        for a, b in ineqs:
-            v = list(a) + [b]
-            for row, p in zip(red, pivots):
-                f = v[p]
-                if f != 0:
-                    v = [x - f * y for x, y in zip(v, row)]
-            prim = _prim_ineq(v[:-1], v[-1])
-            # a row that is zero modulo the hull reads 0 <= b, true on a nonempty set
-            if prim is not None and prim not in seen:
-                seen.add(prim)
-                reduced.append(prim)
-        ineqs = reduced
-        eqs = [_prim_eq(row[:-1], row[-1]) for row in red]
-
-    # drop inequalities implied by the others
-    eqs = tuple(eqs)
-    irredundant = list(ineqs)
+    eqs, irredundant = _modulo_hull(eqs, ineqs)
     i = 0
     # a lone row is nonzero modulo the hull, so it is unbounded above on it
     while len(irredundant) > 1 and i < len(irredundant):
@@ -468,10 +460,40 @@ def _canonical_from_hull(ambient, eqs, ineqs) -> HPoly:
     return _built_canonical(ambient, eqs, sorted(irredundant))
 
 
+def _modulo_hull(eqs, ineqs):
+    """The hull `eqs` as primitive rref rows, and the primitive `ineqs`
+    reduced modulo it, made primitive again and deduplicated, so that equal
+    sets share keys.  A row that is zero modulo the hull reads 0 <= b, true
+    on a nonempty set, and is dropped."""
+    if not eqs:
+        return (), list(ineqs)
+    red, pivots = rref([tuple(a) + (b,) for a, b in eqs])
+    reduced = {}
+    for a, b in ineqs:
+        v = list(a) + [b]
+        for row, p in zip(red, pivots):
+            f = v[p]
+            if f != 0:
+                v = [x - f * y for x, y in zip(v, row)]
+        prim = _prim_ineq(v[:-1], v[-1])
+        if prim is not None:
+            reduced.setdefault(prim, None)
+    return tuple(_prim_eq(row[:-1], row[-1]) for row in red), list(reduced)
+
+
 def _built_canonical(ambient, eq, ineq) -> HPoly:
-    """A nonempty HPoly whose rows are already in canonical form."""
-    out = HPoly(ambient, eq, ineq, _canonical=True)
-    out._empty = False
+    """The nonempty HPoly of rows already in canonical form: the one
+    constructor of canonical cells, shared by equal rows while they are
+    among the last `_CELL_MEMO_CAP` built.
+
+    Canonical rows come in one order (rref, sorted) and without repeats, so
+    their sets are the key; a frozenset keeps its hash, so a new cell
+    hashes its rows once, not once to look up and once to store."""
+    key = (ambient, frozenset(eq), frozenset(ineq))
+    out = _CELL_MEMO.get(key)
+    if out is None:
+        out = _remember(_CELL_MEMO, _CELL_MEMO_CAP, key, HPoly(ambient, eq, ineq, _canonical=True))
+        out._empty = False
     return out
 
 
@@ -719,24 +741,47 @@ def _dual_n(gamma: VPolytope) -> int:
 
 
 def dual_cone(gamma: VPolytope, delta: VPolytope) -> HPoly:
-    """Cone of z where max over gamma of Re<z, .> is attained on all of delta."""
+    """Cone of z where max over gamma of Re<z, .> is attained on all of
+    delta: the normal cone of the smallest face of gamma containing delta,
+    whose vertices must be vertices of gamma."""
+    index = {v: i for i, v in enumerate(gamma.vertices)}
+    points = set(delta.vertices)
+    if not points or not points <= index.keys():
+        raise ValueError("delta is not a nonempty set of vertices of gamma")
+    want = frozenset(index[v] for v in points)
+    lattice = gamma.face_vertex_sets()
+    # faces are closed under intersection, so one face of least dimension
+    # contains delta
+    dim, face = min(((d, f) for d, faces in lattice.items() for f in faces if want <= f),
+                    key=lambda pair: pair[0])
+    return _normal_cone(gamma, lattice, dim, face)
+
+
+def _normal_cone(gamma: VPolytope, lattice, dim: int, face) -> HPoly:
+    """The canonical normal cone of a face of gamma, given as a vertex index
+    set of dimension `dim` of `lattice = gamma.face_vertex_sets()`, with no
+    LP (Ziegler, Lectures on Polytopes, 7.1).
+
+    Its hull is Re<z, u - u0> = 0 over the face's vertices u, and it has
+    one facet Re<z, v - u0> <= 0 per face G of dimension dim + 1 containing
+    the face, with v any vertex of G off the face: the rows of two such v
+    agree modulo the hull up to a positive factor.  No row is an implicit
+    equality, since a functional that supports exactly the face is strictly
+    slack at every vertex off it, and each is a facet, so the rows reduced
+    modulo the hull are the canonical form.
+    """
     from .exterior import real_functional_of_dual_point
-    ambient = gamma.ambient
-    dverts = set(delta.vertices)
-    if not dverts <= set(gamma.vertices):
-        raise ValueError("delta is not a face of gamma")
-    u0 = delta.vertices[0]
-    eqs = []
-    for u in delta.vertices[1:]:
-        diff = tuple(a - b for a, b in zip(u, u0))
-        eqs.append((real_functional_of_dual_point(diff), _ZERO))
-    ineqs = []
-    for v in gamma.vertices:
-        if v in dverts:
-            continue
-        diff = tuple(a - b for a, b in zip(v, u0))
-        ineqs.append((real_functional_of_dual_point(diff), _ZERO))
-    return HPoly(ambient, eqs, ineqs).canonical()
+    verts = gamma.vertices
+    first = min(face)
+
+    def row(i):
+        return real_functional_of_dual_point(tuple(a - b for a, b in zip(verts[i], verts[first])))
+
+    eqs = [(row(i), _ZERO) for i in face if i != first]
+    ineqs = [_prim_ineq(row(min(cover - face)), _ZERO)
+             for cover in lattice.get(dim + 1, ()) if face < cover]
+    eqs, ineqs = _modulo_hull(eqs, ineqs)
+    return _built_canonical(gamma.ambient, eqs, sorted(ineqs))
 
 
 # ---------------------------------------------------------------------------

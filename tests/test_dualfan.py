@@ -4,13 +4,16 @@ from fractions import Fraction as F
 
 import pytest
 
+import etv.dualfan as dualfan
 import etv.polyhedra as polyhedra
 import orientation_reference as oref
+from dual_cone_reference import dual_cone_by_lp
 from etv.dualfan import (DualFanEtp, dual_fan_etp, pascal_check,
                          real_volume_recursion_check, symplectic_orientation_sign,
                          valid_k_range, volume_recursion_check)
 from etv.exterior import Alt, complex_split
 from etv.framed import equivalent, is_etp, is_positive, translate
+from etv.monge import corner_locus, support_function
 from etv.polyhedra import HPoly, VPolytope, dual_cone
 from etv.scalars import CRat
 
@@ -233,6 +236,46 @@ class TestFanProperties:
             dual_fan_etp(seg01(), 0)
         with pytest.raises(ValueError):
             dual_fan_etp(seg01(), 3)
+
+
+class TestConesFromTheLattice:
+    def test_corpus_fans_build_their_cones_with_no_lp(self, polytope_corpus, monkeypatch):
+        fans = [(gamma, k) for _, gamma in polytope_corpus for k in valid_k_range(gamma)]
+        want = [[dual_cone_by_lp(gamma, face).key for face in gamma.faces(gamma.ambient - k)]
+                for gamma, k in fans]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dual cone solved an LP")
+
+        monkeypatch.setattr(polyhedra, "solve_lp", refuse)
+        # merging the cones may solve LPs; building them may not
+        monkeypatch.setattr(dualfan, "canonicalize", lambda framed, validate: framed)
+        got = [[cone.key for _, cone, _ in dual_fan_etp(gamma, k).face_map] for gamma, k in fans]
+        assert got == want and len(fans) > 40
+
+
+class TestSharedValues:
+    def test_corner_locus_and_fan_share_cells_and_frames(self, polytope_corpus):
+        """The corner locus of the support function recomputes the fan of
+        grade 2n - 1: equal cells are one `HPoly`, equal frames one `Alt`."""
+        cells = frames = 0
+        for _, gamma in polytope_corpus:
+            k = gamma.ambient - 1
+            if k not in valid_k_range(gamma):
+                continue
+            fan = dual_fan_etp(gamma, k, validate=False)
+            locus = corner_locus(support_function(gamma))
+            held = [(cone, frame) for _, cone, frame in fan.face_map]
+            held += [(c.poly, c.frame) for c in fan.result.cells()]
+            for poly, frame in held:
+                for c in locus.cells():
+                    if poly.key == c.poly.key:
+                        assert poly is c.poly
+                        cells += 1
+                    if frame == c.frame:
+                        assert frame is c.frame
+                        frames += 1
+        assert cells > 10 and frames > 10
 
 
 class TestN3Smoke:

@@ -652,3 +652,30 @@ class TestMergeLpCount:
         # merge solved 100 LPs for 3 cells
         assert rep.cells[0].poly._relint is not None
         assert calls[0] == 0
+
+
+class TestFrameMemo:
+    def test_memo_is_capped_first_in_first_out(self):
+        framed._FRAME_MEMO.clear()
+        cap = framed._FRAME_MEMO_CAP
+        frames = [Alt(1, {(0,): CRat(k)}) for k in range(1, cap + 21)]
+        ray = HPoly(2, [((F(0), F(1)), F(0))], [((F(-1), F(0)), F(0))]).canonical()
+        for frame in frames:
+            assert FramedSet(1, 1, [FramedCell(ray, frame)]).cells[0].frame is frame
+            assert len(framed._FRAME_MEMO) <= cap
+        again = [FramedSet(1, 1, [FramedCell(ray, Alt(1, {(0,): CRat(k)}))]).cells[0].frame
+                 for k in (1, cap + 20)]
+        assert again[0] is not frames[0] and again[1] is frames[-1]
+
+    def test_equal_values_share_and_types_stay_apart(self):
+        framed._FRAME_MEMO.clear()
+        ray = HPoly(2, [((F(0), F(1)), F(0))], [((F(-1), F(0)), F(0))]).canonical()
+
+        def stored(frame):
+            return FramedSet(1, 1, [FramedCell(ray, frame)]).cells[0].frame
+
+        complex_frame = stored(Alt(1, {(0,): CRat(2), (1,): CRat(0, 1)}))
+        assert stored(Alt(1, {(1,): CRat(0, 1), (0,): CRat(2)})) is complex_frame
+        real_frame = stored(Alt(1, {(0,): F(2), (1,): CRat(0, 1)}))
+        assert real_frame == complex_frame and real_frame is not complex_frame
+        assert isinstance(real_frame.terms[(0,)], F)

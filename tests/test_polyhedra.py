@@ -3,7 +3,7 @@ from itertools import combinations
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import etv.polyhedra as polyhedra
@@ -13,6 +13,7 @@ from etv.monge import linearity_complex, support_function
 import hull_reference as ref
 from canonical_reference import canonical_reference
 from linearity_reference import full_dimensional
+from dual_cone_reference import dual_cone_by_lp
 from etv.linalg import det, kernel_basis, rank
 from orientation_reference import coords_in_basis
 from etv.polyhedra import (HPoly, PolyhedralSet, VPolytope, common_refinement,
@@ -189,6 +190,52 @@ class TestDualCone:
         for a, b in combinations(top, 2):
             inter = a.intersect(b).canonical()
             assert inter.is_empty() or inter.dim < 2  # interiors disjoint
+
+    def test_square_diagonal_gives_the_cone_of_the_square(self):
+        # the diagonal is no face: its smallest face is the whole square
+        gamma = square2d()
+        diagonal = VPolytope.from_points([pt(0, 0), pt(1, 1)])
+        cone = dual_cone(gamma, diagonal)
+        assert cone.key == dual_cone_by_lp(gamma, diagonal).key
+        assert cone.key == dual_cone(gamma, gamma).key and cone.dim == 0
+
+    @pytest.mark.parametrize("points", [[pt(2, 0)], [pt(0, 0), pt(1, 2)]])
+    def test_point_off_the_vertices_raises(self, points):
+        with pytest.raises(ValueError, match="not a nonempty set of vertices of gamma"):
+            dual_cone(square2d(), VPolytope.from_points(points))
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_lattice_polytopes_match_lp(self, data):
+        gamma, moved = data.draw(lattice_polytopes())
+        for body in (gamma, moved):
+            lattice = body.face_vertex_sets()
+            faces = [f for level in lattice.values() for f in level]
+            subsets = data.draw(st.lists(st.sets(st.sampled_from(range(len(body.vertices))),
+                                                 min_size=1), max_size=3))
+            for index in faces + subsets:
+                delta = VPolytope.from_points([body.vertices[i] for i in index])
+                assert dual_cone(body, delta).key == dual_cone_by_lp(body, delta).key
+
+
+@st.composite
+def lattice_polytopes(draw):
+    """A lattice polytope of up to 8 vertices in the dual of C^1 or C^2, on
+    an affine image of Z^k (so lower-dimensional bodies are common), and a
+    copy moved by a lattice translation and a signed coordinate permutation."""
+    d = 2 * draw(st.integers(1, 2))
+    k = draw(st.integers(0, d))
+    image = [draw(st.tuples(*[small] * d)) for _ in range(k)]
+    coeffs = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * k), min_size=1, max_size=8))
+    gamma = VPolytope.from_points([tuple(F(sum(c * v[j] for c, v in zip(cs, image)))
+                                         for j in range(d)) for cs in coeffs])
+    assume(len(gamma.vertices) <= 8)
+    order = draw(st.permutations(range(d)))
+    signs = draw(st.tuples(*[st.sampled_from([1, -1])] * d))
+    shift = draw(st.tuples(*[small] * d))
+    moved = VPolytope.from_points([tuple(signs[j] * p[order[j]] + shift[j] for j in range(d))
+                                   for p in gamma.vertices])
+    return gamma, moved
 
 
 class TestVolumeMultivector:
@@ -381,6 +428,16 @@ class TestTangentMemo:
         assert strip.key != square.key
         assert strip.tangent_basis is square.tangent_basis
 
+    def test_a_cell_and_its_translate_share_one_basis(self):
+        # translating by 1/2 scales the primitive hull row x + z = 1 to
+        # 2x + 2z = 3, whose direction is still that of x + z
+        cell = HPoly(3, [((F(1), F(0), F(1)), F(1))], [((F(0), F(-1), F(0)), F(0))]).canonical()
+        moved = cell.translate(pt(F(1, 2), 0, 0))
+        assert moved.eq != cell.eq
+        polyhedra._TANGENT_MEMO.clear()
+        assert moved.tangent_basis is cell.tangent_basis
+        assert len(polyhedra._TANGENT_MEMO) == 1
+
     def test_memo_equals_a_fresh_kernel_on_every_corpus_cone(self, polytope_corpus):
         cones = [cone for _, gamma in polytope_corpus for k in valid_k_range(gamma)
                  for _, cone, _ in dual_fan_etp(gamma, k, validate=False).face_map]
@@ -391,6 +448,24 @@ class TestTangentMemo:
                 fresh = tuple(kernel_basis([a for a, _ in cone.eq], cone.ambient))
                 again = HPoly(cone.ambient, cone.eq, cone.ineq, _canonical=True)
                 assert again.tangent_basis == fresh, memo
+
+
+class TestCellMemo:
+    def test_memo_is_capped_first_in_first_out(self):
+        polyhedra._CELL_MEMO.clear()
+        cap = polyhedra._CELL_MEMO_CAP
+        halfspaces = [HPoly(1, ineq=[((F(1),), F(k))]).canonical() for k in range(cap + 20)]
+        assert len(polyhedra._CELL_MEMO) == cap
+        keys = [(1, frozenset(), frozenset(h.ineq)) for h in halfspaces]
+        assert keys[0] not in polyhedra._CELL_MEMO
+        assert keys[-1] in polyhedra._CELL_MEMO
+
+    def test_equal_rows_give_one_cell(self):
+        polyhedra._CELL_MEMO.clear()
+        square = HPoly(2, ineq=UNIT_SQUARE).canonical()
+        polyhedra._CANONICAL_MEMO.clear()  # so the LPs run again
+        assert HPoly(2, ineq=UNIT_SQUARE[::-1]).canonical() is square
+        assert square.translate(pt(1, 0)).translate(pt(-1, 0)) is square
 
 
 small = st.integers(-2, 2)

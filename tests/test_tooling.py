@@ -148,6 +148,40 @@ def test_every_memo_is_written_through_the_one_eviction():
                 f"{name}:{node.lineno} uses {node.id} other than by .get or _remember"
 
 
+_SHARED_FIELDS = {"terms", "eq", "ineq"}  # of `Alt` and `HPoly` (and `Poly`)
+_MUTATORS = {"update", "pop", "popitem", "clear", "setdefault", "__setitem__", "__delitem__"}
+
+
+def test_shared_values_are_never_mutated():
+    """`Alt` frames and canonical `HPoly`s are shared by every holder of an
+    equal value (`framed._FRAME_MEMO`, `polyhedra._CELL_MEMO`), so their
+    `terms`, `eq` and `ineq` are assigned, or changed in place, only in an
+    `__init__`."""
+    for path in sorted((ROOT / "src" / "etv").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+                targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) \
+                    else [node.target]
+                changed = [t.value if isinstance(t, ast.Subscript) else t
+                           for target in targets for t in ast.walk(target)
+                           if isinstance(t, (ast.Attribute, ast.Subscript))]
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in _MUTATORS:
+                changed = [node.func.value]
+            else:
+                continue
+            if not any(isinstance(t, ast.Attribute) and t.attr in _SHARED_FIELDS
+                       for t in changed):
+                continue
+            scope = parent[node]
+            while not isinstance(scope, (ast.FunctionDef, ast.Module)):
+                scope = parent[scope]
+            assert getattr(scope, "name", None) == "__init__", \
+                f"{path.name}:{node.lineno} changes a shared field outside __init__"
+
+
 def test_every_slot_is_read():
     """Each entry of a library class's `__slots__` is loaded as an attribute
     somewhere in the library, so no dead cache slot stays behind."""
